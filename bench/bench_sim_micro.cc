@@ -86,20 +86,18 @@ BM_CheckedGuestRead4K(benchmark::State &state)
 }
 BENCHMARK(BM_CheckedGuestRead4K);
 
-// ---- Translation path: software-TLB section ----
+// ---- Translation path ----
 //
 // Host ns/op for checked virtual accesses through a real 4-level
-// table, with and without the software TLB, plus the TLB hit rate.
-// Simulated cycle counts are bit-identical in both variants (asserted
-// by tests/snp_tlb_test.cc); only host wall-clock may differ.
+// table: every access is a full walk plus an RMP check.
 
 struct XlateFixture
 {
     static constexpr Gva kBase = 0x400000;
     static constexpr size_t kPages = 64;
 
-    explicit XlateFixture(bool tlb_on)
-        : machine(makeConfig(tlb_on)),
+    XlateFixture()
+        : machine(microConfig()),
           editor(
               machine.memory(),
               [this] {
@@ -107,13 +105,7 @@ struct XlateFixture
                   nextTable += kPageSize;
                   return f;
               },
-              [](Gpa) {},
-              [this](Gpa cr3, std::optional<Gva> va) {
-                  if (va)
-                      machine.tlbInvlpg(cr3, *va);
-                  else
-                      machine.tlbFlushCr3(cr3);
-              })
+              [](Gpa) {})
     {
         for (Gpa p = 0; p < Gpa(machine.memory().size()); p += kPageSize) {
             machine.rmp().hvAssign(p);
@@ -132,23 +124,6 @@ struct XlateFixture
         id = machine.addVmsa(std::move(v));
     }
 
-    static MachineConfig
-    makeConfig(bool tlb_on)
-    {
-        MachineConfig cfg = microConfig();
-        cfg.tlbEnabled = tlb_on;
-        return cfg;
-    }
-
-    void
-    reportTlb(benchmark::State &state) const
-    {
-        const MachineStats &s = machine.stats();
-        uint64_t lookups = s.tlbHits + s.tlbMisses;
-        state.counters["tlb_hit_pct"] =
-            lookups ? 100.0 * double(s.tlbHits) / double(lookups) : 0.0;
-    }
-
     Machine machine;
     Gpa nextTable = 0x100000;
     PageTableEditor editor;
@@ -159,23 +134,19 @@ struct XlateFixture
 void
 BM_XlateHotLoopRead8(benchmark::State &state)
 {
-    XlateFixture fx(state.range(0) != 0);
+    XlateFixture fx;
     Vcpu cpu(fx.machine, fx.id);
     uint64_t v = 0;
     for (auto _ : state)
         benchmark::DoNotOptimize(v = cpu.readObj<uint64_t>(fx.kBase + 0x123));
     state.SetBytesProcessed(int64_t(state.iterations()) * 8);
-    fx.reportTlb(state);
 }
-BENCHMARK(BM_XlateHotLoopRead8)
-    ->Arg(1)
-    ->Arg(0)
-    ->ArgNames({"tlb"});
+BENCHMARK(BM_XlateHotLoopRead8);
 
 void
 BM_XlateStridedRead4K(benchmark::State &state)
 {
-    XlateFixture fx(state.range(0) != 0);
+    XlateFixture fx;
     Vcpu cpu(fx.machine, fx.id);
     std::vector<uint8_t> buf(kPageSize);
     size_t page = 0;
@@ -184,17 +155,13 @@ BM_XlateStridedRead4K(benchmark::State &state)
         page = (page + 1) % XlateFixture::kPages;
     }
     state.SetBytesProcessed(int64_t(state.iterations()) * int64_t(kPageSize));
-    fx.reportTlb(state);
 }
-BENCHMARK(BM_XlateStridedRead4K)
-    ->Arg(1)
-    ->Arg(0)
-    ->ArgNames({"tlb"});
+BENCHMARK(BM_XlateStridedRead4K);
 
 void
 BM_XlateReadCStr(benchmark::State &state)
 {
-    XlateFixture fx(state.range(0) != 0);
+    XlateFixture fx;
     // 256-char string crossing a page boundary (starts 128 bytes short
     // of the end of the first mapped page).
     std::string s(256, 'x');
@@ -205,12 +172,8 @@ BM_XlateReadCStr(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(cpu.readCStr(va));
     state.SetBytesProcessed(int64_t(state.iterations()) * 256);
-    fx.reportTlb(state);
 }
-BENCHMARK(BM_XlateReadCStr)
-    ->Arg(1)
-    ->Arg(0)
-    ->ArgNames({"tlb"});
+BENCHMARK(BM_XlateReadCStr);
 
 void
 BM_FiberSwitch(benchmark::State &state)

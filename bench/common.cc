@@ -353,11 +353,6 @@ vmStatsRegistry(const snp::Machine &m)
     reg.addCounter("vm.rmp.promotes", m.rmp().promotes());
     reg.addCounter("vm.psc.batches", s.pscBatches);
     reg.addCounter("vm.psc.batchedPages", s.pscBatchedPages);
-    reg.addCounter("vm.tlb.hits2m", s.tlbHits2m);
-    reg.addCounter("tlb.hits", s.tlbHits);
-    reg.addCounter("tlb.misses", s.tlbMisses);
-    reg.addCounter("tlb.flushes", s.tlbFlushes);
-    reg.addCounter("tlb.shootdowns", s.tlbShootdowns);
     if (m.multicore())
         reg.addCounter("vm.exclusiveEpochs", m.exclusiveEpochs());
     reg.addCounter("crypto.aesKeySchedules", c.aesKeySchedules);
@@ -384,13 +379,6 @@ void
 printVmStats(const snp::Machine &m)
 {
     printRegistry(vmStatsRegistry(m), "Machine hardware-event counters");
-    const snp::MachineStats &s = m.stats();
-    uint64_t lookups = s.tlbHits + s.tlbMisses;
-    if (lookups > 0) {
-        note(fmt("TLB hit rate: %.1f%% (%llu lookups)",
-                 100.0 * double(s.tlbHits) / double(lookups),
-                 (unsigned long long)lookups));
-    }
 }
 
 void

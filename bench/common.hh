@@ -77,10 +77,9 @@ double overheadPct(double value, double base);
 
 /**
  * Print the machine's hardware-event counters (entries/exits,
- * rmpadjust/pvalidate), the software-TLB hit/miss/flush/shootdown
- * counters with the resulting hit rate, and the process-wide crypto
- * counters — all through the VeilTrace metrics registry, so text and
- * --json output stay in sync.
+ * rmpadjust/pvalidate) and the process-wide crypto counters — all
+ * through the VeilTrace metrics registry, so text and --json output
+ * stay in sync.
  */
 void printVmStats(const snp::Machine &m);
 

@@ -223,6 +223,10 @@ Sha256::compressBlocks(const uint8_t *p, size_t nblocks)
 void
 Sha256::update(const void *data, size_t len)
 {
+    // update(nullptr, 0) is legal; memcpy from nullptr is not, even for
+    // zero bytes.
+    if (len == 0)
+        return;
     const auto *p = static_cast<const uint8_t *>(data);
     totalLen_ += len;
     if (bufLen_ > 0) {

@@ -349,7 +349,7 @@ FleetManager::dequeue(Vcpu &cpu, uint32_t vcpu)
         m.tracer().instant(trace::Category::FleetSched, s->id);
         // The hypervisor routes domain switches strictly by the VMSA's
         // home VCPU; re-home the stolen session to the thief under the
-        // exclusive rendezvous (the migration TLB/RMP quiesce point).
+        // exclusive rendezvous (the migration quiesce point).
         // The session is in no queue, so only this worker touches it.
         VmsaId vmsa = s->proc->enclave->vmsa;
         if (m.vmsaState(vmsa).vcpuId != cpu.vcpuId()) {

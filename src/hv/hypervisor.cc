@@ -132,8 +132,8 @@ Hypervisor::chaosMaybeRmpFlip(uint32_t vcpu)
     // them either — its C-bit still says private, so its next access
     // faults (snp/rmp.cc). The flip and the scramble run under the
     // machine's exclusive section so no VCPU thread is mid-access while
-    // the page changes identity (the real RMPUPDATE + TLB-shootdown
-    // completion protocol).
+    // the page changes identity (the real RMPUPDATE completion
+    // protocol).
     std::vector<uint8_t> junk(kPageSize);
     for (auto &b : junk)
         b = static_cast<uint8_t>(chaosPick(256));
@@ -538,10 +538,9 @@ Hypervisor::handleGhcbExit(uint32_t vcpu, VmsaId exiting)
           Gpa step = size2m ? kPageSize2m : kPageSize;
           Gpa base = size2m ? pageAlignDown2m(g.info[0])
                             : pageAlignDown(g.info[0]);
-          // Host-side RMPUPDATE needs the full shootdown-completion
-          // protocol: run it as exclusive work so every VCPU thread is
-          // parked at a safe point (and will observe the new TLB
-          // generation on resume) before the entry changes.
+          // Host-side RMPUPDATE needs the completion protocol: run it
+          // as exclusive work so every VCPU thread is parked at a safe
+          // point (and sees the new entry on resume) before it changes.
           machine_.exclusive([&] {
               RmpTable &rmp = machine_.rmp();
               for (uint64_t i = 0; i < count; ++i) {

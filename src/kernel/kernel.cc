@@ -232,6 +232,9 @@ Kernel::bspMain(Vcpu &cpu)
     // bottom-up, so lowering its ceiling leaves every address it hands
     // out unchanged.
     frames_ = std::make_unique<FrameAllocator>(dataHi_, layout_.opRingBase);
+    // Fleet workers fault, clone and reap on every VCPU's host thread;
+    // the single-threaded free list would hand one frame out twice.
+    frames_->setMulticore(machine_.multicore());
 
     // "Load" the kernel text (deterministic synthetic code bytes).
     Rng rng(0x6b65726eULL);

@@ -245,15 +245,7 @@ AddressSpace::AddressSpace(Machine &machine, FrameAllocator &frames,
       frames_(frames),
       editor_(
           machine.memory(), [this] { return frames_.alloc(); },
-          [this](Gpa p) { frames_.free(p); },
-          // Kernel page-table edits carry the INVLPG duty: shoot the
-          // edited translation out of every VMSA's software TLB.
-          [this](Gpa cr3, std::optional<Gva> va) {
-              if (va)
-                  machine_.tlbInvlpg(cr3, *va);
-              else
-                  machine_.tlbFlushCr3(cr3);
-          }),
+          [this](Gpa p) { frames_.free(p); }),
       mmapCursor_(kUserMmapBase)
 {
     cr3_ = editor_.createRoot();

@@ -70,12 +70,10 @@ struct CostModel
     uint64_t vmsaInit = 9000;
 
     /// Fixed cost of a checked guest memory access (walk amortized).
-    /// The software TLB (tlb.hh) never alters this model: it caches
-    /// host-side work only, so simulated cycle counts are identical
-    /// with the TLB on or off. Vcpu::readCStr likewise keeps the
-    /// historical per-byte accounting — copyCost(1) per byte examined,
-    /// terminator included, with a timer poll after each byte — even
-    /// though it now reads page-sized chunks under the hood.
+    /// Vcpu::readCStr keeps the historical per-byte accounting —
+    /// copyCost(1) per byte examined, terminator included, with a timer
+    /// poll after each byte — even though it reads page-sized chunks
+    /// under the hood.
     uint64_t memAccessFixed = 30;
     /// Copy cost per 16-byte chunk moved through Vcpu::read/write.
     uint64_t copyPer16B = 4;

@@ -58,11 +58,6 @@ Machine::Machine(const MachineConfig &config)
     ensure(config.numVcpus >= 1, "Machine: need at least one VCPU");
     nextTimerTsc_ = costs().timerQuantum();
 
-    tlbEnabled_ = config.tlbEnabled;
-    if (const char *env = std::getenv("VEIL_TLB_DISABLE")) {
-        if (env[0] != '\0' && env[0] != '0')
-            tlbEnabled_ = false;
-    }
     hugePages_ = config.hugePages;
     if (const char *env = std::getenv("VEIL_HUGEPAGES")) {
         if (env[0] == '\0' || env[0] == '0' ||
@@ -71,13 +66,6 @@ Machine::Machine(const MachineConfig &config)
         else
             hugePages_ = true;
     }
-    // Every RMP mutation invalidates by GPA across all VMSAs: RMPADJUST
-    // and PVALIDATE flush the TLB on real hardware, and hypervisor-side
-    // RMPUPDATE forces a TLB shootdown before the change takes effect.
-    rmp_.setInvalidateHook([this](Gpa page) { tlbFlushGpa(page); });
-    rmp_.setInvalidateRangeHook(
-        [this](Gpa base, size_t pages) { tlbFlushGpaRange(base, pages); });
-
     multicore_ = config.hostThreads != 0;
     if (multicore_) {
         tscShards_.resize(config.numVcpus);
@@ -162,125 +150,6 @@ Machine::currentVmsaId() const
     if (!multicore_) [[likely]]
         return currentVmsa_;
     return t_bind.machine == this ? t_bind.cur : kInvalidVmsa;
-}
-
-void
-Machine::tlbInvlpg(Gpa cr3, Gva va)
-{
-    if (!tlbEnabled_)
-        return;
-    ++stats_.tlbFlushes;
-    tracer_.instant(trace::Category::TlbFlush, va);
-    if (multicore_) {
-        tlbGen_.fetch_add(1, std::memory_order_release);
-        if (slots_.size() > 1)
-            ++stats_.tlbShootdowns;
-        return;
-    }
-    Gva vpn = pageAlignDown(va);
-    for (VmsaId id = 0; id < slots_.size(); ++id) {
-        if (slots_[id].state.tlb.invalidatePage(cr3, vpn) &&
-            id != currentVmsa_) {
-            ++stats_.tlbShootdowns;
-            const Vmsa &victim = slots_[id].state;
-            tracer_.instantAt(victim.vcpuId, vmplIndex(victim.vmpl),
-                              trace::Category::TlbShootdown, va);
-        }
-    }
-}
-
-void
-Machine::tlbFlushCr3(Gpa cr3)
-{
-    if (!tlbEnabled_)
-        return;
-    ++stats_.tlbFlushes;
-    tracer_.instant(trace::Category::TlbFlush, cr3);
-    if (multicore_) {
-        tlbGen_.fetch_add(1, std::memory_order_release);
-        if (slots_.size() > 1)
-            ++stats_.tlbShootdowns;
-        return;
-    }
-    for (VmsaId id = 0; id < slots_.size(); ++id) {
-        if (slots_[id].state.tlb.invalidateCr3(cr3) && id != currentVmsa_) {
-            ++stats_.tlbShootdowns;
-            const Vmsa &victim = slots_[id].state;
-            tracer_.instantAt(victim.vcpuId, vmplIndex(victim.vmpl),
-                              trace::Category::TlbShootdown, cr3);
-        }
-    }
-}
-
-void
-Machine::tlbFlushGpa(Gpa page)
-{
-    if (!tlbEnabled_)
-        return;
-    ++stats_.tlbFlushes;
-    tracer_.instant(trace::Category::TlbFlush, page);
-    if (multicore_) {
-        // Lock-free shootdown: bump the generation so every tagged
-        // entry, on every VCPU, stops matching. No TLB is scanned —
-        // remote VCPUs discard stale entries lazily on lookup. The
-        // architectural shootdown-completion point (RMPUPDATE) is the
-        // hypervisor's exclusive() rendezvous around the RMP mutation.
-        tlbGen_.fetch_add(1, std::memory_order_release);
-        if (slots_.size() > 1)
-            ++stats_.tlbShootdowns;
-        return;
-    }
-    Gpa aligned = pageAlignDown(page);
-    for (VmsaId id = 0; id < slots_.size(); ++id) {
-        if (slots_[id].state.tlb.invalidateGpa(aligned) &&
-            id != currentVmsa_) {
-            ++stats_.tlbShootdowns;
-            const Vmsa &victim = slots_[id].state;
-            tracer_.instantAt(victim.vcpuId, vmplIndex(victim.vmpl),
-                              trace::Category::TlbShootdown, aligned);
-        }
-    }
-}
-
-void
-Machine::tlbFlushGpaRange(Gpa base, size_t pages)
-{
-    if (!tlbEnabled_)
-        return;
-    ++stats_.tlbFlushes;
-    tracer_.instant(trace::Category::TlbFlush, base);
-    if (multicore_) {
-        // Same lock-free shootdown as the single-page flush: one
-        // generation bump covers the whole range.
-        tlbGen_.fetch_add(1, std::memory_order_release);
-        if (slots_.size() > 1)
-            ++stats_.tlbShootdowns;
-        return;
-    }
-    Gpa aligned = pageAlignDown(base);
-    for (VmsaId id = 0; id < slots_.size(); ++id) {
-        if (slots_[id].state.tlb.invalidateGpaRange(aligned, pages) &&
-            id != currentVmsa_) {
-            ++stats_.tlbShootdowns;
-            const Vmsa &victim = slots_[id].state;
-            tracer_.instantAt(victim.vcpuId, vmplIndex(victim.vmpl),
-                              trace::Category::TlbShootdown, aligned);
-        }
-    }
-}
-
-void
-Machine::tlbFlushVmsa(VmsaId id)
-{
-    if (!tlbEnabled_)
-        return;
-    ++stats_.tlbFlushes;
-    tracer_.instant(trace::Category::TlbFlush, id);
-    if (multicore_) {
-        tlbGen_.fetch_add(1, std::memory_order_release);
-        return;
-    }
-    slotFor(id).state.tlb.flushAll();
 }
 
 Machine::~Machine()

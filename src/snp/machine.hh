@@ -15,7 +15,7 @@
  *    calling host thread, round-robin scheduled by the hypervisor.
  *    Simulated cycle counts are bit-identical run to run.
  *  - hostThreads != 0: one host thread per VCPU (QEMU-MTTCG style).
- *    Per-VCPU hot state (TSC shard, timer deadline, TLB, fiber) is
+ *    Per-VCPU hot state (TSC shard, timer deadline, fiber) is
  *    thread-local; cross-VCPU mutations go through sharded RMP locks
  *    and the safe-point ExclusiveCoordinator. Cycle counts become
  *    per-VCPU and scheduling-dependent; safety invariants (RMP check
@@ -54,13 +54,8 @@ struct MachineConfig
     /// SEV-SNP machine (heavy VMGEXIT) vs plain VM (cheap VMCALL); the
     /// latter exists for the paper's 1100-cycle exit anchor (§9.1).
     bool snpMode = true;
-    /// Per-VMSA software TLB on the checked guest-access path. Purely a
-    /// host-side cache: simulated cycle counts are bit-identical either
-    /// way. The VEIL_TLB_DISABLE environment variable (non-zero value)
-    /// overrides this to false for A/B equivalence checking.
-    bool tlbEnabled = true;
     /// 2 MiB large-page fast path (DESIGN.md §14): huge RMP entries,
-    /// PS-bit leaves, 2 MiB TLB entries, and batched lazy acceptance.
+    /// PS-bit leaves, and batched lazy acceptance.
     /// Off (default), no huge-page code runs and simulated cycle counts
     /// are bit-identical to the historical 4 KiB-only machine. The
     /// VEIL_HUGEPAGES environment variable overrides: "0"/"off" forces
@@ -130,14 +125,12 @@ struct MachineStats
     base::StatCounter switchRetries;       ///< switches re-issued (dropped)
     base::StatCounter switchDeniedRetries; ///< switches re-asked after denial
     base::StatCounter idcbResends;         ///< IDCB waits re-entered
-    // Software-TLB observability (host-side cache; counters charge no
-    // simulated cycles).
+    // Always 0 since the software TLB was deleted; perfbench.cc reads them.
     base::StatCounter tlbHits;
     base::StatCounter tlbMisses;
-    base::StatCounter tlbFlushes;    ///< invalidation events issued
-    base::StatCounter tlbShootdowns; ///< remote VMSA TLBs that dropped entries
+    base::StatCounter tlbFlushes;
+    base::StatCounter tlbShootdowns;
     // Large-page path (DESIGN.md §14); all zero with hugePages off.
-    base::StatCounter tlbHits2m;     ///< hits served by a 2 MiB TLB entry
     base::StatCounter pvalidates2m;  ///< PVALIDATE-2M instructions
     base::StatCounter pscBatches;      ///< grouped multi-entry PSC requests
     base::StatCounter pscBatchedPages; ///< 4 KiB pages covered by them
@@ -259,51 +252,8 @@ class Machine
     /** Record a CVM halt (e.g. on #NPF). */
     void recordHalt(const std::string &reason, Gpa gpa, Vmpl vmpl);
 
-    // ---- Software-TLB maintenance (see tlb.hh for the contract) ----
-
-    /** Whether the checked access path may consult the software TLB. */
-    bool tlbEnabled() const { return tlbEnabled_; }
-
     /** Whether the 2 MiB large-page fast path is on (config + env). */
     bool hugePagesEnabled() const { return hugePages_; }
-
-    /**
-     * Multicore TLB invalidation generation. Entries are tagged with
-     * the generation observed *before* the page walk; any invalidation
-     * bumps the generation, so tagged entries stop matching without
-     * any cross-thread TLB scanning (lock-free shootdown). 0 in
-     * single-threaded mode, where invalidation scans TLBs directly.
-     */
-    uint64_t tlbGen() const
-    {
-        return tlbGen_.load(std::memory_order_acquire);
-    }
-
-    /**
-     * INVLPG analogue: drop (cr3, va) from every VMSA's TLB. Raised by
-     * PageTableEditor on map/unmap/protect.
-     */
-    void tlbInvlpg(Gpa cr3, Gva va);
-
-    /** Drop every cached translation tagged @p cr3 (destroyRoot). */
-    void tlbFlushCr3(Gpa cr3);
-
-    /**
-     * Drop every cached translation targeting @p page, on every VMSA.
-     * Raised by the RMP on any permission/assignment/state mutation —
-     * the hardware TLB flush RMPADJUST/PVALIDATE/RMPUPDATE imply.
-     */
-    void tlbFlushGpa(Gpa page);
-
-    /**
-     * Range variant: one shootdown for [@p base, @p base + @p pages·4K).
-     * Raised by the RMP after huge-entry mutations and smash/split
-     * demotions — 1 flush event instead of 512.
-     */
-    void tlbFlushGpaRange(Gpa base, size_t pages);
-
-    /** Full flush of one VMSA's TLB (mov-cr3 semantics). */
-    void tlbFlushVmsa(VmsaId id);
 
     /**
      * Queue an interrupt vector for @p id: on its next resume the
@@ -360,13 +310,11 @@ class Machine
     std::mutex haltMu_;
     MachineStats stats_;
     bool shuttingDown_ = false;
-    bool tlbEnabled_ = true;
     bool hugePages_ = false;
     // ---- Multicore state ----
     bool multicore_ = false;
     std::vector<TscShard> tscShards_;
     std::unique_ptr<ExclusiveCoordinator> excl_;
-    std::atomic<uint64_t> tlbGen_{0};
     std::atomic<uint32_t> boundThreads_{0};
 };
 

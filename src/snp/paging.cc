@@ -71,17 +71,9 @@ walk(const GuestMemory &mem, Gpa cr3, Gva va, Access access, Cpl cpl)
 }
 
 PageTableEditor::PageTableEditor(GuestMemory &mem, FrameAllocFn alloc,
-                                 FrameFreeFn free_fn, PtInvalidateFn invlpg)
-    : mem_(mem), alloc_(std::move(alloc)), free_(std::move(free_fn)),
-      invlpg_(std::move(invlpg))
+                                 FrameFreeFn free_fn)
+    : mem_(mem), alloc_(std::move(alloc)), free_(std::move(free_fn))
 {
-}
-
-void
-PageTableEditor::invalidate(Gpa cr3, std::optional<Gva> va)
-{
-    if (invlpg_)
-        invlpg_(cr3, va);
 }
 
 Gpa
@@ -109,7 +101,7 @@ PageTableEditor::ensureTable(Gpa table, unsigned idx)
 }
 
 Gpa
-PageTableEditor::ensureLeafTable(Gpa cr3, Gpa table, Gva va)
+PageTableEditor::ensureLeafTable(Gpa table, Gva va)
 {
     Gpa entry_addr = table + ptIndex(va, 1) * 8;
     uint64_t entry = mem_.readObj<uint64_t>(entry_addr);
@@ -129,10 +121,6 @@ PageTableEditor::ensureLeafTable(Gpa cr3, Gpa table, Gva va)
         mem_.writeObj<uint64_t>(entry_addr, (l0 & kPteAddrMask) |
                                                 PtePresent | PteWrite |
                                                 PteUser);
-        // The covering 2 MiB TLB entry must not outlive the leaf it
-        // came from; INVLPG on any covered VA drops it (mixed-size
-        // invalidation, tlb.hh).
-        invalidate(cr3, pageAlignDown2m(va));
         return l0;
     }
     return ensureTable(table, ptIndex(va, 1));
@@ -146,12 +134,8 @@ PageTableEditor::map(Gpa cr3, Gva va, Gpa pa, PageFlags flags)
     Gpa table = cr3;
     for (int level = 3; level >= 2; --level)
         table = ensureTable(table, ptIndex(va, level));
-    table = ensureLeafTable(cr3, table, va);
+    table = ensureLeafTable(table, va);
     mem_.writeObj<uint64_t>(table + ptIndex(va, 0) * 8, flags.toPte(pa));
-    // map() may replace a live leaf, so it must behave like a PTE edit
-    // followed by INVLPG (populating a previously-empty slot needs no
-    // flush architecturally, but the blanket rule is cheap and safe).
-    invalidate(cr3, va);
 }
 
 void
@@ -164,13 +148,11 @@ PageTableEditor::map2m(Gpa cr3, Gva va, Gpa pa, PageFlags flags)
         table = ensureTable(table, ptIndex(va, level));
     Gpa entry_addr = table + ptIndex(va, 1) * 8;
     uint64_t old = mem_.readObj<uint64_t>(entry_addr);
-    // Replacing a live L0 subtree would leak its table frame and leave
-    // stale 4 KiB entries this single invalidate cannot name; callers
+    // Replacing a live L0 subtree would leak its table frame; callers
     // map huge leaves only into empty (or huge) slots.
     ensure(!(old & PtePresent) || (old & PtePs),
            "PageTableEditor::map2m: slot holds a 4 KiB subtree");
     mem_.writeObj<uint64_t>(entry_addr, flags.toPte2m(pa));
-    invalidate(cr3, va);
 }
 
 std::optional<Gpa>
@@ -185,7 +167,7 @@ PageTableEditor::unmap(Gpa cr3, Gva va)
         if (level == 1 && (entry & PtePs)) {
             // Unmapping one page of a huge leaf: split, then drop the
             // 4 KiB entry from the new L0 table.
-            table = ensureLeafTable(cr3, table, va);
+            table = ensureLeafTable(table, va);
             break;
         }
         table = entry & kPteAddrMask;
@@ -195,7 +177,6 @@ PageTableEditor::unmap(Gpa cr3, Gva va)
     if (!(entry & PtePresent))
         return std::nullopt;
     mem_.writeObj<uint64_t>(leaf_addr, 0);
-    invalidate(cr3, va);
     return entry & kPteAddrMask;
 }
 
@@ -287,10 +268,6 @@ void
 PageTableEditor::destroyRoot(Gpa cr3)
 {
     destroyLevel(cr3, 3);
-    // The table frames return to the allocator and may be recycled as
-    // a new root or as data pages; any translation still tagged with
-    // this cr3 would otherwise hit stale on a same-address reuse.
-    invalidate(cr3, std::nullopt);
 }
 
 } // namespace veil::snp

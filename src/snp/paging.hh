@@ -89,17 +89,6 @@ using FrameAllocFn = std::function<Gpa()>;
 /** Releases a table frame. */
 using FrameFreeFn = std::function<void(Gpa)>;
 /**
- * TLB invalidation callback, the software half of x86's INVLPG
- * contract: invoked after every edit that can change a live
- * translation — (cr3, va) for a single-leaf edit, (cr3, nullopt) when
- * the whole tree dies. Owners of an editor that serves live address
- * spaces (kernel/mm, VeilS-ENC's cloned tables) point this at
- * Machine::tlbInvlpg / tlbFlushCr3; standalone editors (tests, offline
- * table construction) may leave it unset.
- */
-using PtInvalidateFn = std::function<void(Gpa cr3, std::optional<Gva> va)>;
-
-/**
  * Software editor for a page-table tree rooted at cr3.
  *
  * All table reads/writes are raw guest-memory operations; callers are
@@ -109,8 +98,7 @@ using PtInvalidateFn = std::function<void(Gpa cr3, std::optional<Gva> va)>;
 class PageTableEditor
 {
   public:
-    PageTableEditor(GuestMemory &mem, FrameAllocFn alloc, FrameFreeFn free_fn,
-                    PtInvalidateFn invlpg = nullptr);
+    PageTableEditor(GuestMemory &mem, FrameAllocFn alloc, FrameFreeFn free_fn);
 
     /** Allocate a fresh empty root; returns the new cr3. */
     Gpa createRoot();
@@ -153,14 +141,12 @@ class PageTableEditor
     Gpa ensureTable(Gpa table, unsigned idx);
     /** Level-1 descent for 4 KiB edits: creates a missing L0 table and
      *  splits a 2 MiB leaf into one (512 replicated PTEs). */
-    Gpa ensureLeafTable(Gpa cr3, Gpa table, Gva va);
+    Gpa ensureLeafTable(Gpa table, Gva va);
     void destroyLevel(Gpa table, int level);
-    void invalidate(Gpa cr3, std::optional<Gva> va);
 
     GuestMemory &mem_;
     FrameAllocFn alloc_;
     FrameFreeFn free_;
-    PtInvalidateFn invlpg_;
 };
 
 /** Index of @p va at page-table @p level (3 = root). */

@@ -42,31 +42,6 @@ RmpTable::entryFor(Gpa page) const
 }
 
 void
-RmpTable::notifyChanged(Gpa page)
-{
-    // Called after the shard lock is dropped (lock order, DESIGN.md
-    // §12): the hook bumps the machine's TLB generation / scans TLBs
-    // and must never run under an RMP shard lock.
-    if (invalidate_)
-        invalidate_(pageAlignDown(page));
-}
-
-void
-RmpTable::notifyChangedRange(Gpa base, size_t pages)
-{
-    // Same lock-order rule as notifyChanged: only ever called after the
-    // shard lock is dropped.
-    if (invalidateRange_) {
-        invalidateRange_(pageAlignDown(base), pages);
-        return;
-    }
-    if (invalidate_) {
-        for (size_t i = 0; i < pages; ++i)
-            invalidate_(pageAlignDown(base) + i * kPageSize);
-    }
-}
-
-bool
 RmpTable::smashLocked(Gpa page)
 {
     // Caller holds the exclusive shard lock covering @p page; since a
@@ -76,11 +51,10 @@ RmpTable::smashLocked(Gpa page)
     // region's state, so demotion is just the flag.
     uint64_t region = regionIndex2m(page);
     if (region >= huge_.size() || !huge_[region])
-        return false;
+        return;
     std::atomic_ref<uint8_t>(huge_[region])
         .store(0, std::memory_order_release);
     splits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
 }
 
 void
@@ -97,64 +71,43 @@ RmpTable::check2mOperand(Gpa base, const char *what) const
 void
 RmpTable::hvAssign(Gpa page)
 {
-    bool smashed;
-    {
-        auto lock = writeLock(page);
-        smashed = smashLocked(page);
-        RmpEntry &e = entryFor(page);
-        e.assigned = true;
-        e.validated = false;
-        e.vmsaPage = false;
-        for (auto &p : e.perms)
-            p = kPermNone;
-    }
-    if (smashed)
-        notifyChangedRange(pageAlignDown2m(page), kPagesPer2m);
-    else
-        notifyChanged(page);
+    auto lock = writeLock(page);
+    smashLocked(page);
+    RmpEntry &e = entryFor(page);
+    e.assigned = true;
+    e.validated = false;
+    e.vmsaPage = false;
+    for (auto &p : e.perms)
+        p = kPermNone;
 }
 
 void
 RmpTable::hvReclaim(Gpa page)
 {
-    bool smashed;
-    {
-        auto lock = writeLock(page);
-        smashed = smashLocked(page);
-        RmpEntry &e = entryFor(page);
-        e = RmpEntry{};
-    }
-    if (smashed)
-        notifyChangedRange(pageAlignDown2m(page), kPagesPer2m);
-    else
-        notifyChanged(page);
+    auto lock = writeLock(page);
+    smashLocked(page);
+    RmpEntry &e = entryFor(page);
+    e = RmpEntry{};
 }
 
 void
 RmpTable::hvSetShared(Gpa page, bool shared)
 {
-    bool smashed;
-    {
-        auto lock = writeLock(page);
-        // A 4 KiB RMPUPDATE against a huge entry demotes it first
-        // (hardware: mismatched-size update splits the 2 MiB entry).
-        smashed = smashLocked(page);
-        RmpEntry &e = entryFor(page);
-        ensure(!e.vmsaPage, "hvSetShared: VMSA pages cannot be shared");
-        // RMPUPDATE semantics: flipping a page to shared destroys its
-        // validated state, but cannot touch guestPrivate (the guest's
-        // own C-bit view). A well-behaved flow un-validates first via
-        // VeilMon; a hostile flip leaves guestPrivate set, so the
-        // guest's next access faults instead of silently using
-        // host-visible memory.
-        if (shared && !e.shared)
-            e.validated = false;
-        e.shared = shared;
-    }
-    if (smashed)
-        notifyChangedRange(pageAlignDown2m(page), kPagesPer2m);
-    else
-        notifyChanged(page);
+    auto lock = writeLock(page);
+    // A 4 KiB RMPUPDATE against a huge entry demotes it first
+    // (hardware: mismatched-size update splits the 2 MiB entry).
+    smashLocked(page);
+    RmpEntry &e = entryFor(page);
+    ensure(!e.vmsaPage, "hvSetShared: VMSA pages cannot be shared");
+    // RMPUPDATE semantics: flipping a page to shared destroys its
+    // validated state, but cannot touch guestPrivate (the guest's
+    // own C-bit view). A well-behaved flow un-validates first via
+    // VeilMon; a hostile flip leaves guestPrivate set, so the
+    // guest's next access faults instead of silently using
+    // host-visible memory.
+    if (shared && !e.shared)
+        e.validated = false;
+    e.shared = shared;
 }
 
 bool
@@ -171,75 +124,61 @@ RmpTable::pvalidate(Vmpl caller, Gpa page, bool validate)
         throw NpfFault(page, caller, Access::Write,
                        "PVALIDATE is restricted to VMPL-0");
     }
-    bool smashed;
-    {
-        auto lock = writeLock(page);
-        // 4 KiB PVALIDATE against a 2 MiB entry: hardware returns
-        // FAIL_SIZEMISMATCH and guests PSMASH first; we model the
-        // combined effect as an implicit split.
-        smashed = smashLocked(page);
-        RmpEntry &e = entryFor(page);
-        if (!e.assigned) {
-            throw NpfFault(page, caller, Access::Write,
-                           "PVALIDATE on unassigned page");
-        }
-        e.validated = validate;
-        e.guestPrivate = validate; // the guest's C-bit expectation
-        e.vmsaPage = false;
-        e.perms[0] = validate ? kPermAll : kPermNone;
-        for (int i = 1; i < kNumVmpls; ++i)
-            e.perms[i] = kPermNone;
+    auto lock = writeLock(page);
+    // 4 KiB PVALIDATE against a 2 MiB entry: hardware returns
+    // FAIL_SIZEMISMATCH and guests PSMASH first; we model the
+    // combined effect as an implicit split.
+    smashLocked(page);
+    RmpEntry &e = entryFor(page);
+    if (!e.assigned) {
+        throw NpfFault(page, caller, Access::Write,
+                       "PVALIDATE on unassigned page");
     }
-    if (smashed)
-        notifyChangedRange(pageAlignDown2m(page), kPagesPer2m);
-    else
-        notifyChanged(page);
+    e.validated = validate;
+    e.guestPrivate = validate; // the guest's C-bit expectation
+    e.vmsaPage = false;
+    e.perms[0] = validate ? kPermAll : kPermNone;
+    for (int i = 1; i < kNumVmpls; ++i)
+        e.perms[i] = kPermNone;
 }
 
 void
 RmpTable::rmpadjust(Vmpl caller, Gpa page, Vmpl target, PermMask perms,
                     bool make_vmsa)
 {
-    bool smashed;
-    {
-        auto lock = writeLock(page);
-        // 4 KiB RMPADJUST against a 2 MiB entry splits it (hardware
-        // FAIL_SIZEMISMATCH + guest PSMASH, modelled as one step).
-        smashed = smashLocked(page);
-        RmpEntry &e = entryFor(page);
-        if (vmplIndex(target) <= vmplIndex(caller)) {
-            throw NpfFault(
-                page, caller, Access::Write,
-                "RMPADJUST target must be less privileged than caller");
-        }
-        if (!e.validated) {
-            throw NpfFault(page, caller, Access::Write,
-                           "RMPADJUST on non-validated page");
-        }
-        // The instruction references the page; a caller without read
-        // access takes a nested page fault (the attack path in
-        // §8.1/§8.3).
-        if (!(e.perms[vmplIndex(caller)] & PermRead)) {
-            throw NpfFault(page, caller, Access::Read,
-                           "RMPADJUST on page restricted for the caller");
-        }
-        if (make_vmsa) {
-            if (caller != Vmpl::Vmpl0) {
-                throw NpfFault(page, caller, Access::Write,
-                               "RMPADJUST.VMSA is restricted to VMPL-0");
-            }
-            e.vmsaPage = true;
-            // In-use VMSA pages are inaccessible to all lower VMPLs.
-            for (int i = 1; i < kNumVmpls; ++i)
-                e.perms[i] = kPermNone;
-        } else {
-            e.perms[vmplIndex(target)] = perms;
-        }
+    auto lock = writeLock(page);
+    // 4 KiB RMPADJUST against a 2 MiB entry splits it (hardware
+    // FAIL_SIZEMISMATCH + guest PSMASH, modelled as one step).
+    smashLocked(page);
+    RmpEntry &e = entryFor(page);
+    if (vmplIndex(target) <= vmplIndex(caller)) {
+        throw NpfFault(
+            page, caller, Access::Write,
+            "RMPADJUST target must be less privileged than caller");
     }
-    if (smashed)
-        notifyChangedRange(pageAlignDown2m(page), kPagesPer2m);
-    else
-        notifyChanged(page);
+    if (!e.validated) {
+        throw NpfFault(page, caller, Access::Write,
+                       "RMPADJUST on non-validated page");
+    }
+    // The instruction references the page; a caller without read
+    // access takes a nested page fault (the attack path in
+    // §8.1/§8.3).
+    if (!(e.perms[vmplIndex(caller)] & PermRead)) {
+        throw NpfFault(page, caller, Access::Read,
+                       "RMPADJUST on page restricted for the caller");
+    }
+    if (make_vmsa) {
+        if (caller != Vmpl::Vmpl0) {
+            throw NpfFault(page, caller, Access::Write,
+                           "RMPADJUST.VMSA is restricted to VMPL-0");
+        }
+        e.vmsaPage = true;
+        // In-use VMSA pages are inaccessible to all lower VMPLs.
+        for (int i = 1; i < kNumVmpls; ++i)
+            e.perms[i] = kPermNone;
+    } else {
+        e.perms[vmplIndex(target)] = perms;
+    }
 }
 
 void
@@ -249,17 +188,10 @@ RmpTable::clearVmsa(Vmpl caller, Gpa page)
         throw NpfFault(page, caller, Access::Write,
                        "VMSA teardown is restricted to VMPL-0");
     }
-    bool smashed;
-    {
-        auto lock = writeLock(page);
-        smashed = smashLocked(page);
-        RmpEntry &e = entryFor(page);
-        e.vmsaPage = false;
-    }
-    if (smashed)
-        notifyChangedRange(pageAlignDown2m(page), kPagesPer2m);
-    else
-        notifyChanged(page);
+    auto lock = writeLock(page);
+    smashLocked(page);
+    RmpEntry &e = entryFor(page);
+    e.vmsaPage = false;
 }
 
 bool
@@ -325,33 +257,29 @@ RmpTable::isVmsaPage(Gpa page) const
 //
 // Thanks to the constructor's shard/region alignment invariant, one
 // writeLock(base) covers the whole region, so huge-entry mutations use
-// the exact locking discipline of the 4 KiB ops — no multi-shard holds,
-// and notify hooks still run only after the lock is dropped.
+// the exact locking discipline of the 4 KiB ops — no multi-shard holds.
 
 void
 RmpTable::hvAssign2m(Gpa base)
 {
     check2mOperand(base, "hvAssign2m");
-    {
-        auto lock = writeLock(base);
-        for (size_t i = 0; i < kPagesPer2m; ++i) {
-            RmpEntry &e = entries_[pageIndex(base) + i];
-            ensure(!e.vmsaPage, "hvAssign2m: region contains a VMSA page");
-            ensure(!e.shared, "hvAssign2m: region contains a shared page");
-            e.assigned = true;
-            e.validated = false;
-            e.vmsaPage = false;
-            for (auto &p : e.perms)
-                p = kPermNone;
-        }
-        uint64_t region = regionIndex2m(base);
-        if (!huge_[region]) {
-            std::atomic_ref<uint8_t>(huge_[region])
-                .store(1, std::memory_order_release);
-            promotes_.fetch_add(1, std::memory_order_relaxed);
-        }
+    auto lock = writeLock(base);
+    for (size_t i = 0; i < kPagesPer2m; ++i) {
+        RmpEntry &e = entries_[pageIndex(base) + i];
+        ensure(!e.vmsaPage, "hvAssign2m: region contains a VMSA page");
+        ensure(!e.shared, "hvAssign2m: region contains a shared page");
+        e.assigned = true;
+        e.validated = false;
+        e.vmsaPage = false;
+        for (auto &p : e.perms)
+            p = kPermNone;
     }
-    notifyChangedRange(base, kPagesPer2m);
+    uint64_t region = regionIndex2m(base);
+    if (!huge_[region]) {
+        std::atomic_ref<uint8_t>(huge_[region])
+            .store(1, std::memory_order_release);
+        promotes_.fetch_add(1, std::memory_order_relaxed);
+    }
 }
 
 void
@@ -362,67 +290,61 @@ RmpTable::pvalidate2m(Vmpl caller, Gpa base, bool validate)
         throw NpfFault(base, caller, Access::Write,
                        "PVALIDATE is restricted to VMPL-0");
     }
-    {
-        auto lock = writeLock(base);
-        // The 2 MiB form requires a uniform region: every covered page
-        // assigned, unshared, and not a VMSA page (hardware would
-        // return FAIL_SIZEMISMATCH / FAIL_INPUT otherwise).
-        for (size_t i = 0; i < kPagesPer2m; ++i) {
-            const RmpEntry &e = entries_[pageIndex(base) + i];
-            if (!e.assigned || e.shared || e.vmsaPage) {
-                throw NpfFault(base + i * kPageSize, caller, Access::Write,
-                               "PVALIDATE-2M on non-uniform region");
-            }
-        }
-        for (size_t i = 0; i < kPagesPer2m; ++i) {
-            RmpEntry &e = entries_[pageIndex(base) + i];
-            e.validated = validate;
-            e.guestPrivate = validate;
-            e.perms[0] = validate ? kPermAll : kPermNone;
-            for (int v = 1; v < kNumVmpls; ++v)
-                e.perms[v] = kPermNone;
-        }
-        uint64_t region = regionIndex2m(base);
-        if (!huge_[region]) {
-            std::atomic_ref<uint8_t>(huge_[region])
-                .store(1, std::memory_order_release);
-            promotes_.fetch_add(1, std::memory_order_relaxed);
+    auto lock = writeLock(base);
+    // The 2 MiB form requires a uniform region: every covered page
+    // assigned, unshared, and not a VMSA page (hardware would
+    // return FAIL_SIZEMISMATCH / FAIL_INPUT otherwise).
+    for (size_t i = 0; i < kPagesPer2m; ++i) {
+        const RmpEntry &e = entries_[pageIndex(base) + i];
+        if (!e.assigned || e.shared || e.vmsaPage) {
+            throw NpfFault(base + i * kPageSize, caller, Access::Write,
+                           "PVALIDATE-2M on non-uniform region");
         }
     }
-    notifyChangedRange(base, kPagesPer2m);
+    for (size_t i = 0; i < kPagesPer2m; ++i) {
+        RmpEntry &e = entries_[pageIndex(base) + i];
+        e.validated = validate;
+        e.guestPrivate = validate;
+        e.perms[0] = validate ? kPermAll : kPermNone;
+        for (int v = 1; v < kNumVmpls; ++v)
+            e.perms[v] = kPermNone;
+    }
+    uint64_t region = regionIndex2m(base);
+    if (!huge_[region]) {
+        std::atomic_ref<uint8_t>(huge_[region])
+            .store(1, std::memory_order_release);
+        promotes_.fetch_add(1, std::memory_order_relaxed);
+    }
 }
 
 void
 RmpTable::rmpadjust2m(Vmpl caller, Gpa base, Vmpl target, PermMask perms)
 {
     check2mOperand(base, "rmpadjust2m");
-    {
-        auto lock = writeLock(base);
-        // The size bit must match the live RMP entry: RMPADJUST-2M on a
-        // smashed (or never-promoted) region is FAIL_SIZEMISMATCH.
-        uint64_t region = regionIndex2m(base);
-        if (!huge_[region]) {
-            throw NpfFault(base, caller, Access::Write,
-                           "RMPADJUST-2M size mismatch: region not huge");
-        }
-        if (vmplIndex(target) <= vmplIndex(caller)) {
-            throw NpfFault(
-                base, caller, Access::Write,
-                "RMPADJUST target must be less privileged than caller");
-        }
-        const RmpEntry &first = entries_[pageIndex(base)];
-        if (!first.validated) {
-            throw NpfFault(base, caller, Access::Write,
-                           "RMPADJUST on non-validated page");
-        }
-        if (!(first.perms[vmplIndex(caller)] & PermRead)) {
-            throw NpfFault(base, caller, Access::Read,
-                           "RMPADJUST on page restricted for the caller");
-        }
-        for (size_t i = 0; i < kPagesPer2m; ++i)
-            entries_[pageIndex(base) + i].perms[vmplIndex(target)] = perms;
+    auto lock = writeLock(base);
+    // The size bit must match the live RMP entry: RMPADJUST-2M on a
+    // smashed (or never-promoted) region is FAIL_SIZEMISMATCH.
+    uint64_t region = regionIndex2m(base);
+    if (!huge_[region]) {
+        throw NpfFault(base, caller, Access::Write,
+                       "RMPADJUST-2M size mismatch: region not huge");
     }
-    notifyChangedRange(base, kPagesPer2m);
+    if (vmplIndex(target) <= vmplIndex(caller)) {
+        throw NpfFault(
+            base, caller, Access::Write,
+            "RMPADJUST target must be less privileged than caller");
+    }
+    const RmpEntry &first = entries_[pageIndex(base)];
+    if (!first.validated) {
+        throw NpfFault(base, caller, Access::Write,
+                       "RMPADJUST on non-validated page");
+    }
+    if (!(first.perms[vmplIndex(caller)] & PermRead)) {
+        throw NpfFault(base, caller, Access::Read,
+                       "RMPADJUST on page restricted for the caller");
+    }
+    for (size_t i = 0; i < kPagesPer2m; ++i)
+        entries_[pageIndex(base) + i].perms[vmplIndex(target)] = perms;
 }
 
 bool
@@ -431,9 +353,8 @@ RmpTable::isHuge(Gpa gpa) const
     uint64_t region = regionIndex2m(gpa);
     if (region >= huge_.size())
         return false;
-    // Lock-free probe (TLB-insert fast path): the flag is a single
-    // byte mutated under the shard lock; atomic_ref gives a tear-free
-    // read without taking it.
+    // Lock-free probe: the flag is a single byte mutated under the
+    // shard lock; atomic_ref gives a tear-free read without taking it.
     return std::atomic_ref<const uint8_t>(huge_[region])
                .load(std::memory_order_acquire) != 0;
 }
@@ -444,13 +365,8 @@ RmpTable::smash(Gpa gpa)
     Gpa base = pageAlignDown2m(gpa);
     if (regionIndex2m(base) >= huge_.size())
         return;
-    bool smashed;
-    {
-        auto lock = writeLock(base);
-        smashed = smashLocked(base);
-    }
-    if (smashed)
-        notifyChangedRange(base, kPagesPer2m);
+    auto lock = writeLock(base);
+    smashLocked(base);
 }
 
 } // namespace veil::snp

@@ -21,8 +21,7 @@
  *    the 512 per-page entries are kept byte-for-byte coherent with the
  *    huge entry's state, plus a per-region "huge" flag — so the access
  *    check (allowed()) is granularity-oblivious, and PSMASH-style
- *    demotion is a flag flip plus a range TLB shootdown, never a state
- *    rewrite. Any 4 KiB mutation (PVALIDATE, RMPADJUST, RMPUPDATE,
+ *    demotion is a flag flip, never a state rewrite. Any 4 KiB mutation (PVALIDATE, RMPADJUST, RMPUPDATE,
  *    page-state change) landing inside a huge region smashes it first,
  *    exactly like hardware faults a mismatched-size access into a
  *    split.
@@ -33,7 +32,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <shared_mutex>
 #include <vector>
@@ -66,30 +64,6 @@ class RmpTable
     explicit RmpTable(uint64_t page_count);
 
     uint64_t pageCount() const { return entries_.size(); }
-
-    /**
-     * Hook invoked (page-aligned GPA) after every mutation that can
-     * change an access verdict — RMPADJUST, PVALIDATE, hypervisor
-     * RMPUPDATE (assign/reclaim), page-state changes, and VMSA
-     * attribute edits. The Machine points this at its software-TLB
-     * shootdown so cached walk+RMP results never outlive a permission
-     * change (the invalidation rule real hardware enforces with
-     * mandatory TLB flushes around these instructions).
-     */
-    using InvalidateFn = std::function<void(Gpa page)>;
-    void setInvalidateHook(InvalidateFn fn) { invalidate_ = std::move(fn); }
-
-    /**
-     * Range variant, invoked (base, page count) after 2 MiB-entry
-     * mutations and smash/split demotions: one shootdown covering the
-     * whole region instead of 512 per-page hook invocations. When
-     * unset, the per-page hook is fanned out instead.
-     */
-    using InvalidateRangeFn = std::function<void(Gpa base, size_t pages)>;
-    void setInvalidateRangeHook(InvalidateRangeFn fn)
-    {
-        invalidateRange_ = std::move(fn);
-    }
 
     /**
      * Multicore mode (DESIGN.md §12): guard the table with sharded
@@ -169,7 +143,7 @@ class RmpTable
 
     /** PSMASH: explicitly demote the huge entry covering @p gpa (no-op
      *  when the region is not huge). The per-page entries already carry
-     *  the region's state, so only the flag and the TLB change. */
+     *  the region's state, so only the flag changes. */
     void smash(Gpa gpa);
 
     /** Huge entries demoted to 512 4 KiB entries (PSMASH + implicit
@@ -190,11 +164,9 @@ class RmpTable
   private:
     RmpEntry &entryFor(Gpa page);
     const RmpEntry &entryFor(Gpa page) const;
-    void notifyChanged(Gpa page);
-    void notifyChangedRange(Gpa base, size_t pages);
     /** Demote the huge entry covering @p page under its (held) shard
-     *  lock; returns true if a live huge entry was split. */
-    bool smashLocked(Gpa page);
+     *  lock, if there is one. */
+    void smashLocked(Gpa page);
     /** Validate a 2 MiB operand: alignment + in-bounds. */
     void check2mOperand(Gpa base, const char *what) const;
 
@@ -221,11 +193,8 @@ class RmpTable
     std::vector<RmpEntry> entries_;
     /// One flag per 2 MiB region: non-zero while the region is a live
     /// huge entry. Mutated under the region's shard lock; read via
-    /// atomic_ref so the lock-free fast-path probe (isHuge from the
-    /// TLB-insert path) never tears.
+    /// atomic_ref so the lock-free isHuge() probe never tears.
     std::vector<uint8_t> huge_;
-    InvalidateFn invalidate_;
-    InvalidateRangeFn invalidateRange_;
     bool mt_ = false;
     uint32_t shardShift_ = 0;
     std::atomic<uint64_t> splits_{0};

@@ -23,26 +23,7 @@ Vcpu::checkRmp(Gpa pa, size_t len, Access access)
 Gpa
 Vcpu::translateChecked(Gva va, Access access) const
 {
-    Vmsa &v = vmsa();
-    Gva vpn = pageAlignDown(va);
-    // Snapshot the invalidation generation *before* the lookup/walk
-    // (always 0 single-threaded): an entry only hits while its tag
-    // still matches, and an insert tagged with a pre-invalidation
-    // snapshot can never satisfy a post-invalidation lookup — the
-    // lock-free shootdown protocol of DESIGN.md §12.
-    uint64_t gen = machine_.tlbGen();
-    if (machine_.tlbEnabled()) {
-        if (const Tlb::Entry *e =
-                v.tlb.lookup(v.cr3, vpn, v.cpl, access, gen)) {
-            ++machine_.stats().tlbHits;
-            if (e->huge)
-                ++machine_.stats().tlbHits2m;
-            machine_.tracer().instant(trace::Category::TlbHit, vpn);
-            return Tlb::gpaFor(e, va);
-        }
-        ++machine_.stats().tlbMisses;
-        machine_.tracer().instant(trace::Category::TlbMiss, vpn);
-    }
+    const Vmsa &v = vmsa();
     Translation t = walk(machine_.memory(), v.cr3, va, access, v.cpl);
     Gpa page = pageAlignDown(t.gpa);
     // The RMP check is per-4K-page even under a PS-bit leaf: a huge
@@ -50,16 +31,6 @@ Vcpu::translateChecked(Gva va, Access access) const
     // containing page's verdict is the region's verdict.
     if (!machine_.rmp().allowed(v.vmpl, page, access, v.cpl))
         throw NpfFault(page, v.vmpl, access, "RMP permission violation");
-    if (machine_.tlbEnabled()) {
-        // Cache at 2 MiB only while both the leaf *and* the RMP entry
-        // are huge — after a smash, hardware refills at 4 KiB.
-        if (t.huge && machine_.rmp().isHuge(page)) {
-            v.tlb.insert2m(v.cr3, pageAlignDown2m(va), v.cpl, access,
-                           pageAlignDown2m(t.gpa), t.pte, gen);
-        } else {
-            v.tlb.insert(v.cr3, vpn, v.cpl, access, page, t.pte, gen);
-        }
-    }
     return t.gpa;
 }
 
@@ -103,7 +74,7 @@ Vcpu::readCStr(Gva va, size_t max_len)
     // historical per-byte model (see CostModel::copyCost): every byte
     // examined — terminator included — is charged copyCost(1) and then
     // polls the timer, so the simulated TSC sequence is identical to
-    // the old byte loop and independent of the TLB.
+    // the old byte loop.
     std::string out;
     size_t remaining = max_len;
     Gva cur = va;
@@ -139,37 +110,8 @@ Vcpu::translate(Gva va, Access access) const
 {
     // Pure translation, no permission side effects: a #NPF-restricted
     // page still translates (the kernel translates user pointers into
-    // enclave regions it cannot itself touch). A TLB hit is safe — an
-    // entry exists only if walk+RMP both passed earlier — but an
-    // RMP-denied result must stay uncached so the checked path still
-    // faults on it.
-    Vmsa &v = vmsa();
-    Gva vpn = pageAlignDown(va);
-    uint64_t gen = machine_.tlbGen(); // pre-walk snapshot (see above)
-    if (machine_.tlbEnabled()) {
-        if (const Tlb::Entry *e =
-                v.tlb.lookup(v.cr3, vpn, cpl(), access, gen)) {
-            ++machine_.stats().tlbHits;
-            if (e->huge)
-                ++machine_.stats().tlbHits2m;
-            machine_.tracer().instant(trace::Category::TlbHit, vpn);
-            return Tlb::gpaFor(e, va);
-        }
-        ++machine_.stats().tlbMisses;
-        machine_.tracer().instant(trace::Category::TlbMiss, vpn);
-    }
-    Translation t = walk(machine_.memory(), v.cr3, va, access, cpl());
-    Gpa page = pageAlignDown(t.gpa);
-    if (machine_.tlbEnabled() &&
-        machine_.rmp().allowed(vmpl(), page, access, cpl())) {
-        if (t.huge && machine_.rmp().isHuge(page)) {
-            v.tlb.insert2m(v.cr3, pageAlignDown2m(va), cpl(), access,
-                           pageAlignDown2m(t.gpa), t.pte, gen);
-        } else {
-            v.tlb.insert(v.cr3, vpn, cpl(), access, page, t.pte, gen);
-        }
-    }
-    return t.gpa;
+    // enclave regions it cannot itself touch).
+    return walk(machine_.memory(), vmsa().cr3, va, access, cpl()).gpa;
 }
 
 void

@@ -125,18 +125,8 @@ class Vcpu
 
     void setCpl(Cpl cpl) { vmsa().cpl = cpl; }
 
-    /**
-     * mov cr3: switches the address space and, like hardware without
-     * PCID, flushes this VMSA's entire software TLB. (The TLB is also
-     * cr3-tagged, but the full flush keeps recycled table frames from
-     * ever matching a stale tag.)
-     */
-    void
-    setCr3(Gpa cr3)
-    {
-        machine_.tlbFlushVmsa(id_);
-        vmsa().cr3 = cr3;
-    }
+    /** mov cr3: switches the address space; the next access walks it. */
+    void setCr3(Gpa cr3) { vmsa().cr3 = cr3; }
 
     // ---- Attestation (SNP guest request to the PSP) ----
 
@@ -146,10 +136,9 @@ class Vcpu
     void accessVirtual(Gva va, void *buf, size_t len, Access access);
 
     /**
-     * Combined walk + RMP check with software-TLB caching: the one
-     * translation primitive behind read/write/checkExec. Throws #PF on
-     * a paging violation and #NPF on an RMP violation, exactly like
-     * the uncached pair walk() + checkRmp().
+     * Combined walk + RMP check: the one translation primitive behind
+     * read/write/checkExec. Throws #PF on a paging violation and #NPF
+     * on an RMP violation.
      */
     Gpa translateChecked(Gva va, Access access) const;
 

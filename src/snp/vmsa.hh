@@ -16,7 +16,6 @@
 #include <functional>
 
 #include "snp/ghcb.hh"
-#include "snp/tlb.hh"
 #include "snp/types.hh"
 
 namespace veil::snp {
@@ -52,8 +51,6 @@ struct Vmsa
     std::function<void()> softTimerHook;
     VmsaRegs regs;
     GuestEntry entry;
-    /// Per-VMSA software TLB (host-side cache; no architectural state).
-    Tlb tlb;
 };
 
 } // namespace veil::snp

@@ -61,14 +61,6 @@ categoryName(Category c)
         return "pvalidate";
       case Category::Npf:
         return "npf";
-      case Category::TlbHit:
-        return "tlb-hit";
-      case Category::TlbMiss:
-        return "tlb-miss";
-      case Category::TlbFlush:
-        return "tlb-flush";
-      case Category::TlbShootdown:
-        return "tlb-shootdown";
       case Category::Syscall:
         return "syscall";
       case Category::MonitorReq:

@@ -55,10 +55,6 @@ enum class Category : uint8_t {
     Rmpadjust,       ///< RMPADJUST instruction
     Pvalidate,       ///< PVALIDATE instruction
     Npf,             ///< #NPF that halted the CVM
-    TlbHit,          ///< software-TLB lookup hit
-    TlbMiss,         ///< software-TLB lookup miss
-    TlbFlush,        ///< TLB invalidation event issued
-    TlbShootdown,    ///< remote VMSA TLB dropped entries
     Syscall,         ///< guest kernel syscall enter..exit
     MonitorReq,      ///< VeilMon IDCB request dispatch
     ServiceKci,      ///< VeilS-KCI request dispatch

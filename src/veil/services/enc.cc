@@ -32,16 +32,7 @@ EncService::EncService(Machine &machine, const CvmLayout &layout,
       monitor_(monitor),
       srvEditor_(
           machine.memory(), [this] { return allocSrvFrame(); },
-          [this](Gpa p) { freeSrvFrame(p); },
-          // Edits to the cloned enclave tables must invalidate the
-          // enclave VCPU's cached translations (and any other VMSA
-          // running on the clone cr3), same as the kernel's tables.
-          [this](Gpa cr3, std::optional<Gva> va) {
-              if (va)
-                  machine_.tlbInvlpg(cr3, *va);
-              else
-                  machine_.tlbFlushCr3(cr3);
-          }),
+          [this](Gpa p) { freeSrvFrame(p); }),
       nextSrvFrame_(layout.srvHeap)
 {
 }

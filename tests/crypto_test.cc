@@ -118,6 +118,20 @@ TEST(Sha256, PortableMatchesDispatched)
     }
 }
 
+TEST(Sha256, EmptyUpdateMidBlockLeavesDigestUnchanged)
+{
+    Bytes head(37, 0x5a), tail(50, 0xa5);
+    Sha256 ctx;
+    ctx.update(head); // partial block buffered
+    ctx.update(nullptr, 0);
+    ctx.update(tail);
+    ctx.update(nullptr, 0);
+
+    Bytes full(head);
+    full.insert(full.end(), tail.begin(), tail.end());
+    EXPECT_EQ(ctx.finish(), Sha256::hash(full));
+}
+
 TEST(Sha256, ClonedMidstateContinuesIndependently)
 {
     Bytes head(100, 0x31), tail_a(100, 0x32), tail_b(100, 0x33);

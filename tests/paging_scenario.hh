@@ -108,10 +108,6 @@ constexpr uint64_t kSeedAutomaticExits = 2;
 constexpr uint64_t kSeedTimerInterrupts = 2;
 constexpr uint64_t kSeedRmpadjusts = 24824;
 constexpr uint64_t kSeedPvalidates = 12253;
-constexpr uint64_t kSeedTlbHits = 18;
-constexpr uint64_t kSeedTlbMisses = 58;
-constexpr uint64_t kSeedTlbFlushes = 62902;
-constexpr uint64_t kSeedTlbShootdowns = 9;
 
 /** EXPECT every golden constant against @p r. */
 inline void
@@ -124,10 +120,6 @@ expectSeedRecord(const RunRecord &r)
     EXPECT_EQ(r.stats.timerInterrupts, kSeedTimerInterrupts);
     EXPECT_EQ(r.stats.rmpadjusts, kSeedRmpadjusts);
     EXPECT_EQ(r.stats.pvalidates, kSeedPvalidates);
-    EXPECT_EQ(r.stats.tlbHits, kSeedTlbHits);
-    EXPECT_EQ(r.stats.tlbMisses, kSeedTlbMisses);
-    EXPECT_EQ(r.stats.tlbFlushes, kSeedTlbFlushes);
-    EXPECT_EQ(r.stats.tlbShootdowns, kSeedTlbShootdowns);
 }
 
 } // namespace veil::tests

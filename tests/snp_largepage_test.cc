@@ -2,8 +2,9 @@
  * @file
  * 2 MiB large-page fast-path tests (DESIGN.md §14): huge RMP entry
  * promotion eligibility, architecturally faithful smash/split on 4 KiB
- * mutations, RMPADJUST-2M grants, mixed-size TLB caching and
- * invalidation, multi-threaded splits under the sharded RMP locks, the
+ * mutations, RMPADJUST-2M grants, mixed-size translation after smash,
+ * split and cr3 switches, multi-threaded splits under the sharded RMP
+ * locks, the
  * frame allocator's aligned contiguous ranges with 4 KiB fallback, and
  * end-to-end hugepage + lazy-acceptance boots.
  */
@@ -24,10 +25,9 @@
 namespace veil::snp {
 namespace {
 
-// The suite controls MachineConfig::hugePages itself; drop the A/B env
-// overrides before any Machine exists.
+// The suite controls MachineConfig::hugePages itself; drop the env
+// override before any Machine exists.
 const bool kEnvCleared = [] {
-    unsetenv("VEIL_TLB_DISABLE");
     unsetenv("VEIL_HUGEPAGES");
     return true;
 }();
@@ -59,13 +59,7 @@ class LargePageTest : public ::testing::Test
                 nextFrame += kPageSize;
                 return f;
             },
-            [](Gpa) {},
-            [this](Gpa cr3, std::optional<Gva> va) {
-                if (va)
-                    machine->tlbInvlpg(cr3, *va);
-                else
-                    machine->tlbFlushCr3(cr3);
-            });
+            [](Gpa) {});
     }
 
     /** Assign + validate kRegion as one huge entry. */
@@ -205,9 +199,9 @@ TEST_F(LargePageTest, Rmpadjust2mRequiresHugeEntryAndGrantsWholeRegion)
     EXPECT_EQ(e.reason, ExitReason::Halted);
 }
 
-// ---- Mixed-size TLB behaviour ----
+// ---- Mixed-size translation ----
 
-TEST_F(LargePageTest, HugeLeafAccessesCacheOne2mEntry)
+TEST_F(LargePageTest, HugeLeafTranslatesEveryOffset)
 {
     makeHugeRegion();
     Gpa cr3 = editor->createRoot();
@@ -215,27 +209,27 @@ TEST_F(LargePageTest, HugeLeafAccessesCacheOne2mEntry)
     machine->memory().writeObj<uint64_t>(kRegion + 0x5000, 0x5150);
     VmExit e = runAs(Vmpl::Vmpl0, Cpl::Supervisor, cr3, [&](Vcpu &cpu) {
         EXPECT_EQ(cpu.readObj<uint64_t>(kVa2m + 0x5000), 0x5150u);
-        // Different 4 KiB offsets share the one 2 MiB TLB entry.
-        for (int i = 0; i < 64; ++i)
-            cpu.readObj<uint64_t>(kVa2m + Gva(i) * 0x1000);
+        // Every 4 KiB offset resolves through the one 2 MiB leaf.
+        for (int i = 0; i < 64; ++i) {
+            EXPECT_EQ(cpu.translate(kVa2m + Gva(i) * 0x1000, Access::Read),
+                      kRegion + Gpa(i) * 0x1000);
+        }
     });
     EXPECT_EQ(e.reason, ExitReason::Halted);
-    EXPECT_GT(uint64_t(machine->stats().tlbHits2m), 0u);
 }
 
-TEST_F(LargePageTest, MidRegionGpaShootdownDropsHugeTranslation)
+TEST_F(LargePageTest, MidRegionRmpChangeDeniesNextAccess)
 {
     makeHugeRegion();
     Gpa cr3 = editor->createRoot();
     editor->map2m(cr3, kVa2m, kRegion, PageFlags{true, true, false});
     VmExit e = runAs(Vmpl::Vmpl0, Cpl::Supervisor, cr3, [&](Vcpu &cpu) {
         EXPECT_NO_THROW(cpu.readObj<uint64_t>(kVa2m + 0x3000));
-        // Direct RMP mutation mid-region: smash + range shootdown. The
-        // stale 2 MiB TLB entry would otherwise let this read bypass
-        // the revoked validation.
+        // Direct RMP mutation mid-region smashes the huge entry; the
+        // next access to the revoked page must fault.
         machine->rmp().pvalidate(Vmpl::Vmpl0, kRegion + 0x3000, false);
         EXPECT_THROW(cpu.readObj<uint64_t>(kVa2m + 0x3000), NpfFault);
-        // Untouched offsets refill as 4 KiB entries and keep working.
+        // Untouched offsets keep working at 4 KiB RMP granularity.
         EXPECT_NO_THROW(cpu.readObj<uint64_t>(kVa2m));
         EXPECT_NO_THROW(cpu.readObj<uint64_t>(kVa2m + 0x9000));
     });
@@ -254,7 +248,7 @@ TEST_F(LargePageTest, UnmapSplitsHugeLeafAndInvalidates)
         EXPECT_EQ(cpu.readObj<uint64_t>(kVa2m), 0xAAAAu);
         EXPECT_EQ(cpu.readObj<uint64_t>(kVa2m + 0x5000), 0xBBBBu);
         // unmap of one 4 KiB page inside the 2 MiB leaf splits the leaf
-        // into a 4 KiB subtree; the stale 2 MiB TLB entry must go.
+        // into a 4 KiB subtree; only the unmapped page stops resolving.
         editor->unmap(cr3, kVa2m + 0x5000);
         EXPECT_THROW(cpu.readObj<uint64_t>(kVa2m + 0x5000),
                      GuestPageFault);
@@ -263,24 +257,31 @@ TEST_F(LargePageTest, UnmapSplitsHugeLeafAndInvalidates)
     EXPECT_EQ(e.reason, ExitReason::Halted);
 }
 
-TEST_F(LargePageTest, Cr3FlushDropsBothSizes)
+TEST_F(LargePageTest, Cr3SwitchRetranslatesBothSizes)
 {
     makeHugeRegion();
     constexpr Gva kVa4k = 0x300000;
     Gpa cr3 = editor->createRoot();
     editor->map2m(cr3, kVa2m, kRegion, PageFlags{true, true, false});
     editor->map(cr3, kVa4k, Gpa(kVa4k), PageFlags{true, true, false});
+    // A second address space maps the same VAs to other frames.
+    Gpa cr3_b = editor->createRoot();
+    editor->map(cr3_b, kVa2m + 0x2000, 0x500000, PageFlags{true, true, false});
+    editor->map(cr3_b, kVa4k, 0x501000, PageFlags{true, true, false});
+    machine->memory().writeObj<uint64_t>(kRegion + 0x2000, 0x2222);
+    machine->memory().writeObj<uint64_t>(Gpa(kVa4k), 0x4444);
+    machine->memory().writeObj<uint64_t>(0x500000, 0xB222);
+    machine->memory().writeObj<uint64_t>(0x501000, 0xB444);
     VmExit e = runAs(Vmpl::Vmpl0, Cpl::Supervisor, cr3, [&](Vcpu &cpu) {
-        cpu.readObj<uint64_t>(kVa2m + 0x2000); // caches the 2 MiB entry
-        cpu.readObj<uint64_t>(kVa4k);          // caches a 4 KiB entry
-        uint64_t misses0 = machine->stats().tlbMisses;
-        cpu.readObj<uint64_t>(kVa2m + 0x2000);
-        cpu.readObj<uint64_t>(kVa4k);
-        EXPECT_EQ(machine->stats().tlbMisses, misses0); // both cached
-        machine->tlbFlushCr3(cr3);
-        cpu.readObj<uint64_t>(kVa2m + 0x2000);
-        cpu.readObj<uint64_t>(kVa4k);
-        EXPECT_EQ(machine->stats().tlbMisses, misses0 + 2);
+        EXPECT_EQ(cpu.readObj<uint64_t>(kVa2m + 0x2000), 0x2222u);
+        EXPECT_EQ(cpu.readObj<uint64_t>(kVa4k), 0x4444u);
+        cpu.setCr3(cr3_b);
+        EXPECT_EQ(cpu.readObj<uint64_t>(kVa2m + 0x2000), 0xB222u);
+        EXPECT_EQ(cpu.readObj<uint64_t>(kVa4k), 0xB444u);
+        EXPECT_THROW(cpu.readObj<uint64_t>(kVa2m + 0x3000), GuestPageFault);
+        cpu.setCr3(cr3);
+        EXPECT_EQ(cpu.readObj<uint64_t>(kVa2m + 0x2000), 0x2222u);
+        EXPECT_EQ(cpu.readObj<uint64_t>(kVa4k), 0x4444u);
     });
     EXPECT_EQ(e.reason, ExitReason::Halted);
 }

@@ -2,16 +2,16 @@
  * @file
  * Multicore execution battery (DESIGN.md §12): one host thread per
  * VCPU driving domain-switch pings and RMP paging churn through the
- * sharded RMP locks, the gen-tag TLB shootdown scheme, the striped
- * frame allocator, and the safe-point exclusive rendezvous. Event
+ * sharded RMP locks, cross-VCPU RMP revocation, the striped frame
+ * allocator, and the safe-point exclusive rendezvous. Event
  * *counts* are asserted exactly (they are scheduling-independent);
  * cycle values are not (multicore trades cycle determinism for host
  * parallelism — single-threaded mode keeps the bit-exact pins, which
  * live in the other test binaries).
  *
  * This whole binary is also the TSan battery: the VEIL_TSAN build runs
- * it to prove the RMP, allocator, shootdown, trace, and exclusive
- * paths race-free (ISSUE 7 satellite).
+ * it to prove the RMP, allocator, trace, and exclusive paths
+ * race-free.
  */
 #include <gtest/gtest.h>
 
@@ -412,24 +412,72 @@ TEST(Multicore, ExclusiveSectionsAreMutuallyExclusive)
     EXPECT_EQ(excl.epoch(), uint64_t(kThreads) * (kIters / kEvery));
 }
 
-TEST(Multicore, TlbGenerationInvalidatesStaleEntries)
+TEST(Multicore, RmpRevocationOnOneVcpuDeniesOtherVcpusNextAccess)
 {
-    // Host-side RMPUPDATE through the exclusive path must defeat any
-    // cached translation: after hvSetShared flips a validated page to
-    // shared, the next checked guest access faults instead of using a
-    // stale TLB verdict. Counts: one shootdown gen bump per flip.
-    ScaleParams p;
-    p.vcpus = 2;
-    p.rounds = 2;
-    p.pages = 0;
-    p.pscRounds = 6;
-    p.multicore = true;
-    auto vm = buildScaleVm(p);
-    uint64_t gen0 = vm->machine->tlbGen();
-    vm->hyper->run(vm->boot);
-    // Every RMP mutation (hvSetShared both ways) bumps the generation.
-    EXPECT_GE(vm->machine->tlbGen() - gen0,
-              uint64_t(p.vcpus) * p.pscRounds * 2);
+    // VCPU 1 (VMPL-1) reads a page VMPL-0 granted it; VCPU 0 then
+    // revokes the grant with RMPADJUST on its own host thread. VCPU 1's
+    // very next checked access must raise #NPF and halt the CVM.
+    LogConfig::setThreshold(LogLevel::Silent);
+    constexpr Gpa kGranted = 0x300000;
+    // Declared before the machine: the guest fibers capture them.
+    std::atomic<bool> granted_read{false};
+    std::atomic<bool> revoked{false};
+    std::atomic<bool> stale_read{false};
+    MachineConfig cfg;
+    cfg.memBytes = 8 * 1024 * 1024;
+    cfg.numVcpus = 2;
+    cfg.interruptsEnabled = false;
+    cfg.hostThreads = 2;
+    Machine m(cfg);
+    hv::Hypervisor hyper(m);
+    m.rmp().hvAssign(kGranted);
+    m.rmp().pvalidate(Vmpl::Vmpl0, kGranted, true);
+    m.rmp().rmpadjust(Vmpl::Vmpl0, kGranted, Vmpl::Vmpl1, kPermRw);
+    m.rmp().hvSetShared(kGhcbBase, true);
+
+    Vmsa owner;
+    owner.vcpuId = 0;
+    owner.vmpl = Vmpl::Vmpl0;
+    owner.ghcbGpa = kGhcbBase;
+    owner.irqMasked = true;
+    owner.entry = [&](Vcpu &cpu) {
+        Ghcb g;
+        g.exitCode = static_cast<uint64_t>(GhcbExit::StartVcpu);
+        g.info[0] = 1;
+        g.info[1] = static_cast<uint64_t>(Vmpl::Vmpl1);
+        cpu.hypercall(g);
+        // Spin at charge boundaries (safe points); give up if the CVM
+        // halted, so a failure here cannot hang the test.
+        while (!granted_read.load(std::memory_order_acquire) && !m.halted())
+            cpu.burn(1);
+        cpu.rmpadjust(kGranted, Vmpl::Vmpl1, kPermNone);
+        revoked.store(true, std::memory_order_release);
+    };
+    VmsaId owner_id = m.addVmsa(std::move(owner));
+
+    Vmsa reader;
+    reader.vcpuId = 1;
+    reader.vmpl = Vmpl::Vmpl1;
+    reader.irqMasked = true;
+    reader.entry = [&](Vcpu &cpu) {
+        EXPECT_NO_THROW(cpu.readObj<uint64_t>(kGranted));
+        granted_read.store(true, std::memory_order_release);
+        while (!revoked.load(std::memory_order_acquire) && !m.halted())
+            cpu.burn(1);
+        cpu.readObj<uint64_t>(kGranted); // throws NpfFault
+        stale_read.store(true);
+    };
+    VmsaId reader_id = m.addVmsa(std::move(reader));
+
+    hyper.registerVmsa(0, Vmpl::Vmpl0, owner_id);
+    hyper.registerVmsa(1, Vmpl::Vmpl1, reader_id);
+    auto result = hyper.run(owner_id);
+
+    EXPECT_TRUE(result.halted);
+    EXPECT_FALSE(stale_read.load()) << "revoked read went through";
+    const HaltInfo &h = m.haltInfo();
+    EXPECT_EQ(h.gpa, kGranted);
+    EXPECT_EQ(h.vmpl, Vmpl::Vmpl1);
 }
 
 } // namespace
