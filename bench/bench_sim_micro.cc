@@ -14,8 +14,10 @@
 #include "base/log.hh"
 #include "common.hh"
 #include "crypto/aes.hh"
+#include "crypto/dh.hh"
 #include "crypto/hmac.hh"
 #include "crypto/sha256.hh"
+#include "crypto/sig.hh"
 #include "sdk/vm.hh"
 #include "snp/fault.hh"
 
@@ -516,6 +518,36 @@ BM_CryptoHmac64_Rekey(benchmark::State &state)
     state.SetBytesProcessed(int64_t(state.iterations()) * 64);
 }
 BENCHMARK(BM_CryptoHmac64_Rekey);
+
+void
+BM_DhModExp(benchmark::State &state)
+{
+    // One full-width exponentiation mod p: a DH public key or shared
+    // secret, and the unit cost of every Schnorr sign/verify.
+    crypto::HmacDrbg drbg(Bytes{'m', 'e'});
+    crypto::U256 exp = crypto::drawExponent(drbg);
+    crypto::U256 base(crypto::kGroupGenerator);
+    for (auto _ : state) {
+        base = crypto::kGroupPrime.pow(base, exp);
+        benchmark::DoNotOptimize(base);
+    }
+}
+BENCHMARK(BM_DhModExp)->Unit(benchmark::kMicrosecond);
+
+void
+BM_SchnorrVerify(benchmark::State &state)
+{
+    // One certificate or report signature check (two exponentiations).
+    crypto::HmacDrbg drbg(Bytes{'s', 'v'});
+    crypto::AsymKeyPair kp = crypto::asymGenerate(drbg);
+    crypto::Digest m = crypto::Sha256::hash("report", 6);
+    crypto::AsymSignature sig = crypto::asymSign(kp, "psp-report", m);
+    for (auto _ : state) {
+        bool ok = crypto::asymVerify(kp.publicKey, "psp-report", m, sig);
+        ensure(ok, "BM_SchnorrVerify: signature did not verify");
+    }
+}
+BENCHMARK(BM_SchnorrVerify)->Unit(benchmark::kMicrosecond);
 
 void
 BM_FullVeilBoot(benchmark::State &state)

@@ -5,55 +5,38 @@
 
 namespace veil::crypto {
 
-const char kGroupPrimeHex[] =
-    "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f";
-
-namespace {
-
-const BigInt &
-groupPrime()
+U256
+drawExponent(HmacDrbg &drbg)
 {
-    static const BigInt p = BigInt::fromHex(kGroupPrimeHex);
-    return p;
+    for (;;) {
+        Bytes raw = drbg.generate(32);
+        U256 v = U256::fromBytes(raw.data());
+        if (v >= U256(2) && v < kGroupOrder.modulus())
+            return v;
+    }
 }
-
-} // namespace
 
 DhKeyPair
 dhGenerate(HmacDrbg &drbg)
 {
-    const BigInt &p = groupPrime();
     DhKeyPair kp;
-    for (;;) {
-        Bytes raw = drbg.generate(32);
-        kp.secret = BigInt::fromBytes(raw);
-        // Require 2 <= secret < p - 1.
-        if (BigInt::cmp(kp.secret, BigInt(2)) >= 0 &&
-            BigInt::cmp(kp.secret, BigInt::sub(p, BigInt(1))) < 0) {
-            break;
-        }
-    }
-    BigInt pub = BigInt::modExp(BigInt(kGroupGenerator), kp.secret, p);
-    kp.publicKey = pub.toBytes(32);
+    kp.secret = drawExponent(drbg);
+    kp.publicKey = kGroupPrime.pow(U256(kGroupGenerator), kp.secret).toBytes();
     return kp;
 }
 
 Bytes
-dhSharedSecret(const BigInt &secret, const Bytes &their_public)
+dhSharedSecret(const U256 &secret, const Bytes &their_public)
 {
-    const BigInt &p = groupPrime();
-    BigInt their = BigInt::fromBytes(their_public);
+    std::optional<U256> their = U256::fromBytes(their_public);
     // Reject degenerate peer publics, not just out-of-range ones: 0 and
     // 1 fix the shared secret at 0/1, and p-1 (order 2) forces it into
     // {1, p-1} — a small-subgroup attack where the untrusted relay
     // substitutes the public key and then knows the session keys. The
     // live range is 2 <= pub <= p-2.
-    if (BigInt::cmp(their, BigInt(1)) <= 0 ||
-        BigInt::cmp(their, BigInt::sub(p, BigInt(1))) >= 0) {
+    if (!their || *their <= U256(1) || *their >= kGroupOrder.modulus())
         fatal("dhSharedSecret: degenerate or out-of-range peer public key");
-    }
-    BigInt shared = BigInt::modExp(their, secret, p);
-    return shared.toBytes(32);
+    return kGroupPrime.pow(*their, secret).toBytes();
 }
 
 SessionKeys

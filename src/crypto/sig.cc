@@ -41,43 +41,26 @@ verifyDigest(const Bytes &key, const std::string &domain, const Digest &digest,
 
 namespace {
 
-const BigInt &
-schnorrPrime()
-{
-    static const BigInt p = BigInt::fromHex(kGroupPrimeHex);
-    return p;
-}
-
-const BigInt &
-schnorrOrder()
-{
-    static const BigInt q = BigInt::sub(schnorrPrime(), BigInt(1));
-    return q;
-}
-
-BigInt
-challenge(const std::string &domain, const Bytes &r, const Bytes &y,
+U256
+challenge(const std::string &domain, const uint8_t *r, const Bytes &y,
           const Digest &digest)
 {
     Sha256 h;
     h.update(domain.data(), domain.size());
     uint8_t sep = 0x00;
     h.update(&sep, 1);
-    h.update(r.data(), r.size());
+    h.update(r, 32);
     h.update(y.data(), y.size());
     h.update(digest.data(), digest.size());
-    Digest e = h.finish();
-    Bytes eb(e.begin(), e.end());
-    return BigInt::mod(BigInt::fromBytes(eb), schnorrOrder());
+    return kGroupOrder.reduce(U256::fromBytes(h.finish().data()));
 }
 
 /** Group-element range check: 2 <= v <= p-2 (rejects the degenerate
  *  order-1/order-2 elements 0, 1 and p-1, mirroring dhSharedSecret). */
 bool
-elementInRange(const BigInt &v)
+elementInRange(const U256 &v)
 {
-    return BigInt::cmp(v, BigInt(1)) > 0 &&
-           BigInt::cmp(v, BigInt::sub(schnorrPrime(), BigInt(1))) < 0;
+    return v > U256(1) && v < kGroupOrder.modulus();
 }
 
 } // namespace
@@ -85,18 +68,9 @@ elementInRange(const BigInt &v)
 AsymKeyPair
 asymGenerate(HmacDrbg &drbg)
 {
-    const BigInt &p = schnorrPrime();
     AsymKeyPair kp;
-    for (;;) {
-        Bytes raw = drbg.generate(32);
-        kp.secret = BigInt::fromBytes(raw);
-        if (BigInt::cmp(kp.secret, BigInt(2)) >= 0 &&
-            BigInt::cmp(kp.secret, BigInt::sub(p, BigInt(1))) < 0) {
-            break;
-        }
-    }
-    kp.publicKey =
-        BigInt::modExp(BigInt(kGroupGenerator), kp.secret, p).toBytes(32);
+    kp.secret = drawExponent(drbg);
+    kp.publicKey = kGroupPrime.pow(U256(kGroupGenerator), kp.secret).toBytes();
     return kp;
 }
 
@@ -104,30 +78,19 @@ AsymSignature
 asymSign(const AsymKeyPair &key, const std::string &domain,
          const Digest &digest)
 {
-    const BigInt &p = schnorrPrime();
-    const BigInt &q = schnorrOrder();
-
     // Deterministic nonce: DRBG over (secret || domain || digest).
-    Bytes seed = key.secret.toBytes(32);
+    Bytes seed = key.secret.toBytes();
     appendBytes(seed, domain.data(), domain.size());
     appendBytes(seed, digest.data(), digest.size());
     HmacDrbg drbg(seed);
-    BigInt k;
-    for (;;) {
-        Bytes raw = drbg.generate(32);
-        k = BigInt::fromBytes(raw);
-        if (BigInt::cmp(k, BigInt(2)) >= 0 &&
-            BigInt::cmp(k, BigInt::sub(p, BigInt(1))) < 0) {
-            break;
-        }
-    }
+    U256 k = drawExponent(drbg);
 
-    Bytes r = BigInt::modExp(BigInt(kGroupGenerator), k, p).toBytes(32);
-    BigInt e = challenge(domain, r, key.publicKey, digest);
-    BigInt s = BigInt::mod(BigInt::add(k, BigInt::mul(e, key.secret)), q);
+    Bytes r = kGroupPrime.pow(U256(kGroupGenerator), k).toBytes();
+    U256 e = challenge(domain, r.data(), key.publicKey, digest);
+    U256 s = kGroupOrder.add(k, kGroupOrder.mul(e, key.secret));
 
     AsymSignature sig{};
-    Bytes sb = s.toBytes(32);
+    Bytes sb = s.toBytes();
     std::copy(r.begin(), r.end(), sig.begin());
     std::copy(sb.begin(), sb.end(), sig.begin() + 32);
     return sig;
@@ -137,27 +100,24 @@ bool
 asymVerify(const Bytes &public_key, const std::string &domain,
            const Digest &digest, const AsymSignature &sig)
 {
-    const BigInt &p = schnorrPrime();
     if (public_key.size() != 32)
         return false;
-    BigInt y = BigInt::fromBytes(public_key);
+    U256 y = U256::fromBytes(public_key.data());
     if (!elementInRange(y))
         return false;
 
-    Bytes rb(sig.begin(), sig.begin() + 32);
-    Bytes sb(sig.begin() + 32, sig.end());
-    BigInt r = BigInt::fromBytes(rb);
-    BigInt s = BigInt::fromBytes(sb);
+    U256 r = U256::fromBytes(sig.data());
+    U256 s = U256::fromBytes(sig.data() + 32);
     // r must be a live group element; s is an exponent mod p-1 (reject
     // the non-canonical high range to keep signatures non-malleable).
-    if (r.isZero() || BigInt::cmp(r, p) >= 0)
+    if (r.isZero() || r >= kGroupPrime.modulus())
         return false;
-    if (BigInt::cmp(s, schnorrOrder()) >= 0)
+    if (s >= kGroupOrder.modulus())
         return false;
 
-    BigInt e = challenge(domain, rb, public_key, digest);
-    BigInt lhs = BigInt::modExp(BigInt(kGroupGenerator), s, p);
-    BigInt rhs = BigInt::mod(BigInt::mul(r, BigInt::modExp(y, e, p)), p);
+    U256 e = challenge(domain, sig.data(), public_key, digest);
+    U256 lhs = kGroupPrime.pow(U256(kGroupGenerator), s);
+    U256 rhs = kGroupPrime.mul(r, kGroupPrime.pow(y, e));
     return lhs == rhs;
 }
 

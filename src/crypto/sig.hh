@@ -18,7 +18,7 @@
 #ifndef VEIL_CRYPTO_SIG_HH_
 #define VEIL_CRYPTO_SIG_HH_
 
-#include "crypto/bignum.hh"
+#include "crypto/field256.hh"
 #include "crypto/hmac.hh"
 
 namespace veil::crypto {
@@ -44,7 +44,7 @@ using AsymSignature = std::array<uint8_t, 64>;
 /** An asymmetric signing key pair. */
 struct AsymKeyPair
 {
-    BigInt secret;   ///< private exponent x, 2 <= x <= p-2
+    U256 secret;     ///< private exponent x, 2 <= x <= p-2
     Bytes publicKey; ///< y = g^x mod p, big-endian, 32 bytes
 };
 

@@ -766,10 +766,7 @@ runAttestationAttacks()
         [](VeilVm &vm, Kernel &k, Process &, std::string &detail) {
             // pub = p-1 confines the shared secret to {1, p-1}: the
             // relay would know the session keys without breaking DH.
-            crypto::BigInt p =
-                crypto::BigInt::fromHex(crypto::kGroupPrimeHex);
-            Bytes evil =
-                crypto::BigInt::sub(p, crypto::BigInt(1)).toBytes(32);
+            Bytes evil = crypto::kGroupOrder.modulus().toBytes();
             core::ChannelResponse resp{};
             uint64_t st = rawEstablish(k, evil, resp);
             bool keyed = vm.monitor().sessionActive();

@@ -2,16 +2,18 @@
  * @file
  * Crypto library tests against published vectors: SHA-256 (FIPS 180-4),
  * HMAC-SHA256 (RFC 4231), AES-128 (FIPS 197), plus roundtrip/property
- * tests for CTR mode, DRBG, bignum arithmetic, DH, and signatures.
+ * tests for CTR mode, DRBG, 256-bit field arithmetic, DH, and
+ * signatures, and known-answer pins for DH and the Schnorr chain.
  */
 #include <gtest/gtest.h>
 
+#include "attest/keys.hh"
 #include "base/log.hh"
 #include "base/rng.hh"
 #include "crypto/aes.hh"
-#include "crypto/bignum.hh"
 #include "crypto/dh.hh"
 #include "crypto/drbg.hh"
+#include "crypto/field256.hh"
 #include "crypto/hmac.hh"
 #include "crypto/sha256.hh"
 #include "crypto/sig.hh"
@@ -430,83 +432,317 @@ TEST(HmacDrbg, ReseedChangesStream)
     EXPECT_NE(a.generate(32), b.generate(32));
 }
 
-TEST(BigInt, HexRoundTrip)
+// ---- field256: fixed-width arithmetic mod 2^256 - c ----
+//
+// Expected values were computed independently with Python's
+// arbitrary-precision integers (pow(), %, *).
+
+U256
+hexU(const std::string &hex)
 {
-    BigInt v = BigInt::fromHex("deadbeefcafebabe1234");
-    EXPECT_EQ(v.toHex(), "deadbeefcafebabe1234");
-    EXPECT_EQ(BigInt(0).toHex(), "0");
-    EXPECT_EQ(BigInt(255).toHex(), "ff");
+    return *U256::fromBytes(hexDecode(hex));
 }
 
-TEST(BigInt, AddSubProperties)
+std::string
+hexOf(const U256 &v)
 {
-    Rng rng(21);
-    for (int i = 0; i < 100; ++i) {
-        BigInt a = BigInt::fromBytes(rng.bytes(rng.range(1, 24)));
-        BigInt b = BigInt::fromBytes(rng.bytes(rng.range(1, 24)));
-        BigInt s = BigInt::add(a, b);
-        EXPECT_EQ(BigInt::sub(s, b), a);
-        EXPECT_EQ(BigInt::sub(s, a), b);
+    return hexEncode(v.toBytes());
+}
+
+const U256 kAllOnes(std::array<uint64_t, 4>{~0ULL, ~0ULL, ~0ULL, ~0ULL});
+
+/** m + @p delta for a modulus m = 2^256 - c: its low limb is 2^64 - c,
+ *  so a small offset never carries into the next limb. */
+U256
+offset(const U256 &m, int64_t delta)
+{
+    U256 v = m;
+    v.w[0] += static_cast<uint64_t>(delta);
+    return v;
+}
+
+TEST(Field256, BytesRoundTrip)
+{
+    LogConfig::setThreshold(LogLevel::Silent);
+    const std::string h =
+        "deadbeefcafebabe0123456789abcdef00112233445566778899aabbccddeeff";
+    EXPECT_EQ(hexOf(hexU(h)), h);
+    EXPECT_EQ(hexU(h).w[3], 0xdeadbeefcafebabeULL);
+    EXPECT_EQ(hexU(h).w[0], 0x8899aabbccddeeffULL);
+    EXPECT_EQ(hexOf(kAllOnes), std::string(64, 'f'));
+
+    // Short inputs are left-padded; extra leading zero bytes are fine;
+    // a 257th significant bit is not.
+    EXPECT_EQ(*U256::fromBytes(Bytes{0x01, 0x02}), U256(0x0102));
+    EXPECT_EQ(*U256::fromBytes(Bytes{}), U256(0));
+    Bytes padded(33, 0);
+    padded[32] = 7;
+    EXPECT_EQ(*U256::fromBytes(padded), U256(7));
+    padded[0] = 1;
+    EXPECT_FALSE(U256::fromBytes(padded).has_value());
+
+    // toBytes pads to the requested width and refuses to truncate.
+    EXPECT_EQ(U256(255).toBytes(1), Bytes{0xff});
+    EXPECT_EQ(U256(0x0102).toBytes(4), (Bytes{0, 0, 1, 2}));
+    EXPECT_THROW(U256(256).toBytes(1), PanicError);
+    EXPECT_THROW(kAllOnes.toBytes(31), PanicError);
+}
+
+TEST(Field256, OrderingFollowsTheMostSignificantLimb)
+{
+    U256 hi(std::array<uint64_t, 4>{0, 0, 0, 1});
+    U256 lo(std::array<uint64_t, 4>{~0ULL, ~0ULL, ~0ULL, 0});
+    EXPECT_LT(lo, hi);
+    EXPECT_GT(hi, lo);
+    EXPECT_LT(U256(1), U256(2));
+    EXPECT_EQ(U256(5), U256(5));
+    EXPECT_LE(kGroupOrder.modulus(), kGroupPrime.modulus());
+    EXPECT_TRUE(U256().isZero());
+    EXPECT_FALSE(hi.isZero());
+}
+
+TEST(Field256, ModuliAreTheGroupPrimeAndItsPredecessor)
+{
+    EXPECT_EQ(hexOf(kGroupPrime.modulus()),
+              "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f");
+    EXPECT_EQ(hexOf(kGroupOrder.modulus()),
+              "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2e");
+}
+
+TEST(Field256, ReducesInputsAtOrAboveTheModulus)
+{
+    for (const PseudoMersenne *f : {&kGroupPrime, &kGroupOrder}) {
+        const U256 &m = f->modulus();
+        U256 m_minus_1 = offset(m, -1);
+        U256 m_plus_1 = offset(m, 1);
+        EXPECT_EQ(f->reduce(U256(0)), U256(0));
+        EXPECT_EQ(f->reduce(U256(1)), U256(1));
+        EXPECT_EQ(f->reduce(m_minus_1), m_minus_1);
+        EXPECT_LT(m_minus_1, m);
+        EXPECT_EQ(f->reduce(m), U256(0));
+        EXPECT_EQ(f->reduce(m_plus_1), U256(1));
+        // 2^256 - 1 = m + c - 1.
+        EXPECT_EQ(f->reduce(kAllOnes), U256(0 - m.w[0] - 1));
+
+        // Out-of-range bases behave as their residues.
+        EXPECT_EQ(f->pow(m, U256(3)), U256(0));
+        EXPECT_EQ(f->pow(m_plus_1, U256(3)), U256(1));
+        EXPECT_EQ(f->mul(m, m_plus_1), U256(0));
+        EXPECT_EQ(f->mul(m_plus_1, m_plus_1), U256(1));
+        EXPECT_EQ(f->add(m_minus_1, U256(1)), U256(0));
+        EXPECT_EQ(f->mul(m_minus_1, m_minus_1), U256(1));
     }
 }
 
-TEST(BigInt, MulMatchesU64)
+TEST(Field256, ProductsNearTheTopExerciseBothFolds)
+{
+    // (2^256-1)^2 leaves a carry out of the first fold; (2^256-1)(m-1)
+    // lands in [m, 2^256) and needs the final subtraction.
+    struct Case
+    {
+        const PseudoMersenne *f;
+        const char *sq, *dbl, *by_m_minus_1, *pow_max;
+    } cases[] = {
+        {&kGroupPrime,
+         "000000000000000000000000000000000000000000000001000007a0000e8900",
+         "00000000000000000000000000000000000000000000000000000002000007a0",
+         "fffffffffffffffffffffffffffffffffffffffffffffffffffffffdfffff85f",
+         "ad0a8c73022bdaa5b4e042c6846d1c3811c064b799b934145bf4ab20aa5c5fc8"},
+        {&kGroupOrder,
+         "000000000000000000000000000000000000000000000001000007a2000e90a1",
+         "00000000000000000000000000000000000000000000000000000002000007a2",
+         "fffffffffffffffffffffffffffffffffffffffffffffffffffffffdfffff85d",
+         "af4454b8f573f0bd385794dfc2961f5966d5c7d1a94ca3b5e88970f48814911f"},
+    };
+    for (const Case &c : cases) {
+        U256 m_minus_1 = offset(c.f->modulus(), -1);
+        EXPECT_EQ(hexOf(c.f->mul(kAllOnes, kAllOnes)), c.sq);
+        EXPECT_EQ(hexOf(c.f->add(kAllOnes, kAllOnes)), c.dbl);
+        EXPECT_EQ(hexOf(c.f->mul(kAllOnes, m_minus_1)), c.by_m_minus_1);
+        EXPECT_EQ(hexOf(c.f->mul(m_minus_1, kAllOnes)), c.by_m_minus_1);
+        EXPECT_EQ(hexOf(c.f->pow(kAllOnes, kAllOnes)), c.pow_max);
+    }
+}
+
+TEST(Field256, MulAndAddMatchReferenceVectors)
+{
+    struct Case
+    {
+        const PseudoMersenne *f;
+        bool mul;
+        const char *a, *b, *want;
+    } cases[] = {
+        {&kGroupPrime, true,
+         "3f372617f0baef3a86f0ce2ea6ec39c1c15521b1b3dca50a9daa37e51b591d75",
+         "732242fda8902e3212979bfcbbeb508f4a800646417a8105bc3199944567ceb1",
+         "91eaa6b192827e66bf1e550840bcb172e9763358c9546085a8863c4c73e5385e"},
+        {&kGroupPrime, true,
+         "e8af30f7c70b53bf64d0b50f658c6762df7142dcaf29e6f877744cca4d909eb2",
+         "cecf4f4e5ba8078050cef798e6c648e7deeda8b23927f7d64375d0341e4f6f2a",
+         "389bb2af319503c2ae3bdb5b0eae44bbd41955a1efbc6678671a83add9b2a86f"},
+        {&kGroupPrime, true,
+         "293a9acc2652f8ff842a2f9da1b4ba07a1fa7d4acde560db5c54e05b42a9ba21",
+         "11e760a5a6d5b30a02b7075d2a3a0c78467c0714a9fbd797aa59c1698d242349",
+         "34ce24be4a978fa93e8f37a0b268fb7582722a85af95efd883b6039d07be9c98"},
+        {&kGroupPrime, false,
+         "daa4ed3c3454fae446287225154d1eb0071d14815649f8e998466a921f7ea79c",
+         "e57b37e7704b3d09ef2eab42fd8cfe3395522f9a67574c0261c2df96fa5e2d63",
+         "c0202523a4a037ee35571d6812da1ce39c6f441bbda144ebfa094a2a19dcd8d0"},
+        {&kGroupPrime, false,
+         "942af46d1c8d5358e2db0c01afd798c2a40f9ca3df62692c182a3add9b872a76",
+         "bf3ba33a183c74e2dd66a3582e62fe865d3ffd11a23c1698a32dc48296ce3859",
+         "536697a734c9c83bc041af59de3a9749014f99b5819e7fc4bb57ff61325566a0"},
+        {&kGroupPrime, false,
+         "9fc6245573dda73245552a83319f69e3ac18900483872e757c93a36cdff27e9f",
+         "1f05f4d11a38b927412ecd08801f772d4804ef24cc5994d07c17d84637db2982",
+         "becc19268e1660598683f78bb1bee110f41d7f294fe0c345f8ab7bb317cda821"},
+        {&kGroupOrder, true,
+         "29663157072ad68b1e47921f47d9e8754754665a16ebc80fffcd88b9d170d65a",
+         "6cd92a4017cdc79a960066c386988190afaaa7131d26e31369703feebd8700eb",
+         "03768031a0eccfd4922fd8cefafce324cf2de87e9f7cd7b427c7ac772db63302"},
+        {&kGroupOrder, true,
+         "4f3d01447485d16562fe005b88ebf5e62b1a7ae1af748c55f9493d417afdf260",
+         "41a204e918485df7d3a1c30b986f30426aedf88b6fe205d475b728bf7c208071",
+         "56888466435620f5e06442ead63ec73cf74b6416bdc0aebf09ff7328f52b6d52"},
+        {&kGroupOrder, true,
+         "7d32da7cf063a1049d88ae97dd8e5608730115443c7bc0fc64e24875797a05ab",
+         "70ffec24924a5cd7444c044fb416aad97d32a82f24af1bee91b002ee1102c9f5",
+         "11f30408c3e9e4b4780a87ea76696a4ac41b1db59c1081f29a54d5f11ffcc11d"},
+        {&kGroupOrder, false,
+         "0552d4c06c50f5ccfcbbd0fff1a58c2e67db15cab473e920d34a2c3c04e4217b",
+         "5b08b56f437743f778965416f06b36b15e32102d91c44cbdb5b07e1458f52363",
+         "605b8a2fafc839c475522516e210c2dfc60d25f8463835de88faaa505dd944de"},
+        {&kGroupOrder, false,
+         "cc3681ee782143c28f547b62a0dff8d30af4a5a4304f564987b31dc04d628fed",
+         "067282494ffca60331407caa08e743c2190b6895634d0cd9186984a4418e0b03",
+         "d2a90437c81de9c5c094f80ca9c73c9524000e39939c6322a01ca2648ef09af0"},
+        {&kGroupOrder, false,
+         "cdfb33acefa638f18585c65548576b8d81b4feac9606f7d80017e256fb9fb699",
+         "c663425b256d6ff3f4d9a89d08feeac81d21cc56406493d6fd632c395bb7f552",
+         "945e76081513a8e57a5f6ef2515656559ed6cb02d66b8baefd7b0e915757afbd"},
+    };
+    for (const Case &c : cases) {
+        U256 a = hexU(c.a), b = hexU(c.b);
+        U256 got = c.mul ? c.f->mul(a, b) : c.f->add(a, b);
+        EXPECT_EQ(hexOf(got), c.want) << c.a << (c.mul ? " * " : " + ") << c.b;
+        U256 swapped = c.mul ? c.f->mul(b, a) : c.f->add(b, a);
+        EXPECT_EQ(swapped, got);
+    }
+}
+
+TEST(Field256, MulMatchesU64)
 {
     Rng rng(22);
     for (int i = 0; i < 200; ++i) {
-        uint32_t a = static_cast<uint32_t>(rng.next());
-        uint32_t b = static_cast<uint32_t>(rng.next());
-        uint64_t expect = uint64_t(a) * b;
-        EXPECT_EQ(BigInt::mul(BigInt(a), BigInt(b)).toHex(),
-                  BigInt(expect).toHex());
-    }
-}
-
-TEST(BigInt, ModMatchesU64)
-{
-    Rng rng(23);
-    for (int i = 0; i < 200; ++i) {
         uint64_t a = rng.next();
-        uint64_t m = rng.range(1, ~0ULL);
-        EXPECT_EQ(BigInt::mod(BigInt(a), BigInt(m)).toHex(),
-                  BigInt(a % m).toHex());
+        uint64_t b = rng.next();
+        unsigned __int128 expect = static_cast<unsigned __int128>(a) * b;
+        U256 want(std::array<uint64_t, 4>{static_cast<uint64_t>(expect),
+                                          static_cast<uint64_t>(expect >> 64),
+                                          0, 0});
+        EXPECT_EQ(kGroupPrime.mul(U256(a), U256(b)), want);
+        EXPECT_EQ(kGroupOrder.mul(U256(a), U256(b)), want);
     }
 }
 
-TEST(BigInt, ModExpSmallCases)
+TEST(Field256, PowEdgeExponents)
 {
-    // 3^5 mod 7 = 5; 2^10 mod 1000 = 24
-    EXPECT_EQ(BigInt::modExp(BigInt(3), BigInt(5), BigInt(7)).toHex(), "5");
-    EXPECT_EQ(BigInt::modExp(BigInt(2), BigInt(10), BigInt(1000)).toHex(),
-              "18"); // 24 = 0x18
+    const U256 g(kGroupGenerator);
+    // Exponent 0 gives 1 for every base, including 0; exponent 1 gives
+    // the reduced base.
+    EXPECT_EQ(kGroupPrime.pow(g, U256(0)), U256(1));
+    EXPECT_EQ(kGroupPrime.pow(U256(0), U256(0)), U256(1));
+    EXPECT_EQ(kGroupPrime.pow(U256(0), U256(9)), U256(0));
+    EXPECT_EQ(kGroupPrime.pow(g, U256(1)), g);
+    EXPECT_EQ(kGroupPrime.pow(kAllOnes, U256(1)),
+              kGroupPrime.reduce(kAllOnes));
+    // Every window zero but one; top windows zero; all windows full.
+    EXPECT_EQ(hexOf(kGroupPrime.pow(g, U256(0x10))),
+              "0000000000000000000000000000000000000000000000000000002386f26fc1");
+    U256 low252(std::array<uint64_t, 4>{~0ULL, ~0ULL, ~0ULL, ~0ULL >> 4});
+    EXPECT_EQ(hexOf(kGroupPrime.pow(g, low252)),
+              "5473c714e5f561968308016578bbe2e011ed0ccf6310c8b3ca7c912a9e777037");
+    EXPECT_EQ(hexOf(kGroupPrime.pow(g, kAllOnes)),
+              "39b0ac0df15233177d413295e9f5f3bd0f9c7a79f50b874c0fbea90d1f41d50c");
+    EXPECT_EQ(hexOf(kGroupOrder.pow(g, kAllOnes)),
+              "48e8f7d9c9b4dfc1519d87bffec2f959b35be21ac298064976153000d092a24b");
+
+    struct Case
+    {
+        const char *base, *exp, *want;
+    } cases[] = {
+        {"2eb1e04c43b94ff3802bb7a0df7bae224012b4913ae398480074bfa332f439e7",
+         "b8ae9b964a978a7054ff78d8eac99f4eae1ca9399a9aed623535cafd3fa44a68",
+         "89c9502629a4d153bdb0017dc65e90ba2b8fb18a108b0f637c696816adb72c54"},
+        {"bdc3428f9888d80febf064468fa52057081257d15e657926e542b338c2f770ae",
+         "03284254d765cec7a503877782162cff2882c8edc1dbaef4c981d39df13b5080",
+         "ecac9146710a28bd6473a01b1b3db945971fa85bfaafe489bbebdebc2c8e0e36"},
+        {"8dbbbca18bc2db0e63571e05f5c0fc1f3eafcf2162550ba77d8078455dd0f901",
+         "000000000000000000000000000000000000000000000000e8eeaf9cc600339d",
+         "79e151f9237c62aafa1283c4c493cf888c5ee016e672414dcb54fb83dfcfb3e0"},
+    };
+    for (const Case &c : cases)
+        EXPECT_EQ(hexOf(kGroupPrime.pow(hexU(c.base), hexU(c.exp))), c.want);
 }
 
-TEST(BigInt, FermatLittleTheorem)
+TEST(Field256, GroupIdentities)
 {
-    // a^(p-1) = 1 mod p for prime p = 1000003 and random a.
-    BigInt p(1000003);
     Rng rng(24);
+    const U256 g(kGroupGenerator);
+    const U256 &p_minus_1 = kGroupOrder.modulus();
     for (int i = 0; i < 20; ++i) {
-        BigInt a(rng.range(2, 1000002));
-        EXPECT_EQ(BigInt::modExp(a, BigInt(1000002), p).toHex(), "1");
+        U256 a = U256::fromBytes(rng.bytes(32).data());
+        U256 b = U256::fromBytes(rng.bytes(32).data());
+        // g^(a+b) = g^a * g^b, with exponents added in Z_{p-1}.
+        EXPECT_EQ(kGroupPrime.pow(g, kGroupOrder.add(a, b)),
+                  kGroupPrime.mul(kGroupPrime.pow(g, a),
+                                  kGroupPrime.pow(g, b)));
+        // (g^a)^b = g^(a*b mod p-1).
+        EXPECT_EQ(kGroupPrime.pow(kGroupPrime.pow(g, a), b),
+                  kGroupPrime.pow(g, kGroupOrder.mul(a, b)));
+        // Fermat: a^(p-1) = 1 for a != 0 mod p.
+        if (!kGroupPrime.reduce(a).isZero()) {
+            EXPECT_EQ(kGroupPrime.pow(a, p_minus_1), U256(1));
+        }
     }
 }
 
-TEST(BigInt, MillerRabinClassifiesSmallNumbers)
+/** Miller-Rabin on the modulus of @p f with the first 16 prime bases. */
+bool
+modulusIsProbablePrime(const PseudoMersenne &f)
 {
-    const uint32_t primes[] = {2, 3, 5, 101, 65537, 1000003};
-    const uint32_t composites[] = {4, 9, 100, 65539 * 3, 561 /*Carmichael*/};
-    for (uint32_t p : primes)
-        EXPECT_TRUE(BigInt::isProbablePrime(BigInt(p))) << p;
-    for (uint32_t c : composites)
-        EXPECT_FALSE(BigInt::isProbablePrime(BigInt(c))) << c;
+    const U256 &n = f.modulus();
+    U256 n_minus_1 = offset(n, -1);
+    // n - 1 = d * 2^s with d odd.
+    U256 d = n_minus_1;
+    int s = 0;
+    while ((d.w[0] & 1) == 0) {
+        for (size_t i = 0; i < 4; ++i)
+            d.w[i] = (d.w[i] >> 1) | (i < 3 ? d.w[i + 1] << 63 : 0);
+        ++s;
+    }
+    for (uint64_t base : {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+                          43, 47, 53}) {
+        U256 x = f.pow(U256(base), d);
+        if (x == U256(1) || x == n_minus_1)
+            continue;
+        bool witness = true;
+        for (int i = 1; i < s && witness; ++i) {
+            x = f.mul(x, x);
+            witness = x != n_minus_1;
+        }
+        if (witness)
+            return false;
+    }
+    return true;
 }
 
-TEST(BigInt, DhGroupPrimeIsPrime)
+TEST(Field256, DhGroupPrimeIsPrime)
 {
-    BigInt p = BigInt::fromHex(kGroupPrimeHex);
-    EXPECT_EQ(p.bitLength(), 256u);
-    EXPECT_TRUE(BigInt::isProbablePrime(p));
+    EXPECT_TRUE(modulusIsProbablePrime(kGroupPrime));
+    // The even exponent modulus q is composite; so is 2^256 - 3.
+    EXPECT_FALSE(modulusIsProbablePrime(kGroupOrder));
+    EXPECT_FALSE(modulusIsProbablePrime(PseudoMersenne(3)));
 }
 
 TEST(Dh, KeyAgreementMatches)
@@ -543,18 +779,21 @@ TEST(Dh, RejectsDegenerateSmallSubgroupPublic)
     HmacDrbg d(Bytes{'x'});
     DhKeyPair kp = dhGenerate(d);
 
-    Bytes one = BigInt(1).toBytes(32);
+    Bytes one = U256(1).toBytes();
     EXPECT_THROW(dhSharedSecret(kp.secret, one), FatalError);
 
-    BigInt p = BigInt::fromHex(kGroupPrimeHex);
-    Bytes p_minus_1 = BigInt::sub(p, BigInt(1)).toBytes(32);
+    Bytes p_minus_1 = kGroupOrder.modulus().toBytes();
     EXPECT_THROW(dhSharedSecret(kp.secret, p_minus_1), FatalError);
 
     // p itself (== 0 mod p) and anything above stay rejected too.
-    EXPECT_THROW(dhSharedSecret(kp.secret, p.toBytes(32)), FatalError);
+    EXPECT_THROW(dhSharedSecret(kp.secret, kGroupPrime.modulus().toBytes()),
+                 FatalError);
+    EXPECT_THROW(dhSharedSecret(kp.secret, kAllOnes.toBytes()), FatalError);
 
-    // The smallest live element is still accepted.
-    Bytes two = BigInt(2).toBytes(32);
+    // The largest and smallest live elements are still accepted.
+    Bytes p_minus_2 = offset(kGroupPrime.modulus(), -2).toBytes();
+    EXPECT_EQ(dhSharedSecret(kp.secret, p_minus_2).size(), 32u);
+    Bytes two = U256(2).toBytes();
     EXPECT_EQ(dhSharedSecret(kp.secret, two).size(), 32u);
 }
 
@@ -623,6 +862,47 @@ TEST(AsymSig, RejectsTamperDomainAndWrongKey)
     }
 }
 
+TEST(AsymSig, ResponseIsReducedModOrderNotPrime)
+{
+    // Rebuild a signature by hand for a nonce and key chosen so that
+    // k + e*x wraps past both p and p-1: the exponent of g lives in
+    // Z_{p-1}, so only the response reduced mod q = p-1 verifies.
+    const U256 g(kGroupGenerator);
+    AsymKeyPair kp;
+    kp.secret = offset(kGroupPrime.modulus(), -3);
+    kp.publicKey = kGroupPrime.pow(g, kp.secret).toBytes();
+    U256 k = offset(kGroupPrime.modulus(), -5);
+    Bytes r = kGroupPrime.pow(g, k).toBytes();
+    Digest m = Sha256::hash("report", 6);
+
+    Sha256 h;
+    h.update("psp-report", 10);
+    uint8_t sep = 0;
+    h.update(&sep, 1);
+    h.update(r.data(), r.size());
+    h.update(kp.publicKey.data(), kp.publicKey.size());
+    h.update(m.data(), m.size());
+    U256 e = kGroupOrder.reduce(U256::fromBytes(h.finish().data()));
+
+    U256 s_q = kGroupOrder.add(k, kGroupOrder.mul(e, kp.secret));
+    U256 s_p = kGroupPrime.add(k, kGroupPrime.mul(e, kp.secret));
+    ASSERT_NE(s_q, s_p);
+    auto assemble = [&](const U256 &s) {
+        AsymSignature sig{};
+        Bytes sb = s.toBytes();
+        std::copy(r.begin(), r.end(), sig.begin());
+        std::copy(sb.begin(), sb.end(), sig.begin() + 32);
+        return sig;
+    };
+    EXPECT_TRUE(asymVerify(kp.publicKey, "psp-report", m, assemble(s_q)));
+    EXPECT_FALSE(asymVerify(kp.publicKey, "psp-report", m, assemble(s_p)));
+
+    // asymSign's own response is canonical (< q) and verifies.
+    AsymSignature sig = asymSign(kp, "psp-report", m);
+    EXPECT_LT(U256::fromBytes(sig.data() + 32), kGroupOrder.modulus());
+    EXPECT_TRUE(asymVerify(kp.publicKey, "psp-report", m, sig));
+}
+
 TEST(AsymSig, RejectsDegeneratePublicKey)
 {
     HmacDrbg d(Bytes{'k'});
@@ -630,12 +910,81 @@ TEST(AsymSig, RejectsDegeneratePublicKey)
     Digest m = Sha256::hash("report", 6);
     AsymSignature sig = asymSign(kp, "psp-report", m);
 
-    BigInt p = BigInt::fromHex(kGroupPrimeHex);
-    for (const BigInt &y :
-         {BigInt(0), BigInt(1), BigInt::sub(p, BigInt(1)), p}) {
-        EXPECT_FALSE(asymVerify(y.toBytes(32), "psp-report", m, sig));
+    for (const U256 &y : {U256(0), U256(1), kGroupOrder.modulus(),
+                          kGroupPrime.modulus(), kAllOnes}) {
+        EXPECT_FALSE(asymVerify(y.toBytes(), "psp-report", m, sig));
     }
     EXPECT_FALSE(asymVerify(Bytes{}, "psp-report", m, sig));
+}
+
+// ---- Known-answer pins ----
+//
+// Bytes recorded from fixed DRBG seeds. Every report, certificate,
+// signature and channel key in the simulator derives from these
+// primitives, so any change to the group arithmetic that moves a
+// single output byte fails here first.
+
+TEST(KnownAnswer, DhPublicKeysAndSharedSecret)
+{
+    HmacDrbg da(Bytes{'k', 'a', 't', '-', 'a'});
+    HmacDrbg db(Bytes{'k', 'a', 't', '-', 'b'});
+    DhKeyPair a = dhGenerate(da);
+    DhKeyPair b = dhGenerate(db);
+    EXPECT_EQ(hexEncode(a.publicKey),
+              "534de0062c4feb6d6ff5d27aac8049cf"
+              "055cac8241ee62af7307bed18a347219");
+    EXPECT_EQ(hexEncode(b.publicKey),
+              "f2d097f2f4ae3a6f3cc4e09d63fe2cc4"
+              "b964869d3cf3041b24ee80b547dcd9f6");
+    const char *shared = "c1d77056176ece227d44b4ee6359f55a"
+                         "0059c46b50faa2730c480fcf3b4dcab6";
+    EXPECT_EQ(hexEncode(dhSharedSecret(a.secret, b.publicKey)), shared);
+    EXPECT_EQ(hexEncode(dhSharedSecret(b.secret, a.publicKey)), shared);
+}
+
+TEST(KnownAnswer, SchnorrSignature)
+{
+    HmacDrbg d(Bytes{'k', 'a', 't', '-', 's'});
+    AsymKeyPair kp = asymGenerate(d);
+    EXPECT_EQ(hexEncode(kp.publicKey),
+              "12ae8d6e998ea9a4c485d13852bfacf2"
+              "cb590af5e59d4a233789af147c0d3992");
+    Digest m = Sha256::hash("kat-message", 11);
+    AsymSignature sig = asymSign(kp, "psp-report", m);
+    EXPECT_EQ(hexEncode(Bytes(sig.begin(), sig.end())),
+              "181092586b6d5ac0a7be1fb93544c8d9"
+              "18d96bffa4e74b025d6109b04377942e"
+              "754de7d28abab08aa1ed134c8c702349"
+              "b369e5c6e0e9d177fa02492b2442973e");
+    EXPECT_TRUE(asymVerify(kp.publicKey, "psp-report", m, sig));
+}
+
+TEST(KnownAnswer, PlatformRootAndCertChain)
+{
+    Bytes seed = {'k', 'a', 't', '-', 'p', 's', 'p'};
+    EXPECT_EQ(hexEncode(attest::rootPublicFromSeed(seed)),
+              "d75725677df4313f8f037b9e4ea20af0"
+              "4e9ac96b44bbcaf8ec310f82287b4ecf");
+    attest::PlatformKeys keys(seed, attest::kDefaultTcbVersion);
+    const attest::CertChain &c = keys.certChain();
+    auto hex = [](const AsymSignature &s) {
+        return hexEncode(Bytes(s.begin(), s.end()));
+    };
+    EXPECT_EQ(hex(c.root.signature),
+              "b673812253fd944d77b3ac2f43919c9c"
+              "9c2aac195d5d9e6393433a86458a2f7f"
+              "2d3e55e54798c048b3957ba86cc5019b"
+              "30dcfcde5ff2e0115745e5a13bad9fa6");
+    EXPECT_EQ(hex(c.signing.signature),
+              "796b418e82f5d2e9530c76db0a3e8fb3"
+              "f0342a598b1a090f9b16681cf5f7abf0"
+              "b594733802dd3b0a4354a85765aaa20b"
+              "c6cbf502f222e980bdcbdcf86d64d54d");
+    EXPECT_EQ(hex(c.chip.signature),
+              "8fa9a550083ec365c8184039032ad663"
+              "1fe0b12d13356fd58030e65a3afbcde5"
+              "d23326b2e5a30a8c747da0809c1db193"
+              "0d874b8a813221e1815bed531acb784a");
 }
 
 } // namespace
