@@ -1,10 +1,11 @@
 /**
  * @file
- * VeilChaos resilience sweep (DESIGN.md §10): run the full CVM stack
- * under the canonical seeded fault mixture across many seeds, classify
- * each run (terminated / attributed halt), and check the resilience
- * invariants the soak suite asserts — no livelock, gap-accounted audit
- * stream, no host plaintext exposure, monotonic stored records.
+ * VeilChaos resilience sweep (DESIGN.md §10): run the shared soak
+ * scenario (sdk/chaos_soak.hh, also asserted by chaos_soak_test) across
+ * many seeds under the canonical fault mixture, classify each run
+ * (terminated / attributed halt), and print every resilience invariant
+ * a seed violates — no livelock, gap-accounted audit stream, no host
+ * plaintext exposure, monotonic stored records.
  *
  * --seeds=N selects the sweep width (default 64). With --json <path>
  * every table (including the per-seed outcome table) and the aggregate
@@ -12,173 +13,15 @@
  */
 #include "common.hh"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
-#include "base/log.hh"
 #include "chaos/chaos.hh"
+#include "sdk/chaos_soak.hh"
 
 using namespace veil;
 using namespace veil::bench;
 using namespace veil::sdk;
-using namespace veil::snp;
-using namespace veil::kern;
-
-namespace {
-
-constexpr char kSecret[] = "VEIL-BENCH-SECRET-7d41aa20cc";
-
-VmConfig
-chaosConfig()
-{
-    LogConfig::setThreshold(LogLevel::Silent);
-    VmConfig cfg;
-    cfg.machine.memBytes = 32 * 1024 * 1024;
-    cfg.machine.numVcpus = 1;
-    cfg.logBytes = 128 * 1024;
-    cfg.kernel.auditBackend = AuditBackend::VeilLogBatched;
-    cfg.kernel.auditRules = priorWorkAuditRuleset();
-    cfg.kernel.auditBatchSize = 8;
-    cfg.kernel.auditFlushDeadlineCycles = 200'000;
-    return cfg;
-}
-
-uint64_t
-recordSeq(const std::string &rec)
-{
-    size_t open = rec.find("audit(");
-    size_t colon = rec.find(':', open);
-    if (open == std::string::npos || colon == std::string::npos)
-        return 0;
-    return strtoull(rec.c_str() + colon + 1, nullptr, 10);
-}
-
-bool
-sharedPagesContain(VeilVm &vm, const void *needle, size_t n)
-{
-    const uint8_t *pat = static_cast<const uint8_t *>(needle);
-    std::vector<uint8_t> page(kPageSize);
-    for (Gpa p = 0; p < vm.config().machine.memBytes; p += kPageSize) {
-        if (!vm.machine().rmp().isShared(p))
-            continue;
-        vm.machine().memory().read(p, page.data(), kPageSize);
-        if (std::search(page.begin(), page.end(), pat, pat + n) !=
-            page.end())
-            return true;
-    }
-    return false;
-}
-
-struct SeedOutcome
-{
-    uint64_t seed = 0;
-    bool terminated = false;
-    bool halted = false;
-    bool livelock = false;
-    std::string haltReason;
-    uint64_t injected = 0;
-    uint64_t retries = 0;
-    uint64_t produced = 0;
-    uint64_t stored = 0;
-    uint64_t dropped = 0; ///< store drops + ring drops
-    uint64_t pending = 0;
-    uint64_t siteInjected[chaos::kFaultSiteCount] = {};
-    std::vector<std::string> violations;
-};
-
-SeedOutcome
-runSeed(uint64_t seed)
-{
-    VeilVm vm(chaosConfig());
-    chaos::FaultPlan plan = chaos::FaultPlan::forSeed(seed);
-    plan.rmpFlipLo = vm.layout().kernelBase;
-    plan.rmpFlipHi = vm.layout().logRingBase;
-    chaos::FaultInjector inj(plan);
-    vm.hypervisor().setFaultInjector(&inj);
-    vm.hypervisor().setExitCap(200'000);
-    const uint64_t quantum = vm.machine().costs().timerQuantum();
-
-    SeedOutcome o;
-    o.seed = seed;
-    int64_t enclave_ret = -1;
-    bool create_failed = false;
-    auto run = vm.run([&](Kernel &k, Process &p) {
-        NativeEnv env(k, p);
-        Gva hideout = env.alloc(4096);
-        env.copyIn(hideout, kSecret, sizeof(kSecret));
-        int fd = int(env.creat("/soak.bin"));
-        Gva buf = env.alloc(4096);
-        for (int i = 0; i < 8; ++i)
-            env.write(fd, buf, 64 + 8 * i);
-        env.close(fd);
-        for (int i = 0; i < 8; ++i)
-            env.close(999);
-        EnclaveHost host(env, vm.programs());
-        if (!host.create([quantum](Env &e) -> int64_t {
-                for (int i = 0; i < 4; ++i)
-                    e.close(999);
-                e.burn(2 * quantum + 123);
-                return 7;
-            })) {
-            create_failed = true;
-            return;
-        }
-        enclave_ret = host.call();
-        for (int i = 0; i < 4; ++i)
-            env.close(999);
-    });
-
-    o.terminated = run.terminated;
-    o.halted = run.halted;
-    o.livelock = run.exitCapHit;
-    o.haltReason = vm.machine().haltInfo().reason;
-    o.injected = inj.stats().totalInjected();
-    for (size_t i = 0; i < chaos::kFaultSiteCount; ++i)
-        o.siteInjected[i] = inj.stats().injected[i];
-    const MachineStats &m = vm.machine().stats();
-    o.retries = m.hypercallRetries + m.switchRetries +
-                m.switchDeniedRetries + m.idcbResends;
-    const KernelStats &s = vm.kernel().stats();
-    o.produced = s.auditRecords;
-    o.stored = vm.services().log().recordCount();
-    o.dropped = vm.services().log().droppedRecords() + s.auditRingDrops;
-    o.pending = vm.kernel().auditRingPending(0);
-
-    // ---- invariants (mirrors tests/chaos_soak_test.cc) ----
-    if (o.livelock)
-        o.violations.push_back("livelock: exit cap hit");
-    if (!o.terminated && !o.halted)
-        o.violations.push_back("neither terminated nor halted");
-    if (o.halted && o.haltReason.empty())
-        o.violations.push_back("halt without attributed reason");
-    if (o.terminated && (create_failed || enclave_ret != 7))
-        o.violations.push_back("enclave result corrupted");
-    uint64_t accounted = o.stored + o.dropped + o.pending;
-    if (o.terminated && accounted != o.produced)
-        o.violations.push_back(fmt("audit gap: %llu accounted vs %llu "
-                                   "produced",
-                                   (unsigned long long)accounted,
-                                   (unsigned long long)o.produced));
-    if (!o.terminated && o.stored + o.dropped > o.produced)
-        o.violations.push_back("audit stream invented records");
-    uint64_t last = 0;
-    for (const auto &rec : vm.services().log().snapshotRecords()) {
-        uint64_t seq = recordSeq(rec);
-        if (seq <= last) {
-            o.violations.push_back("non-monotonic stored record");
-            break;
-        }
-        last = seq;
-    }
-    if (sharedPagesContain(vm, kSecret, sizeof(kSecret) - 1))
-        o.violations.push_back("planted secret in a shared page");
-    if (sharedPagesContain(vm, "msg=audit(", 10))
-        o.violations.push_back("audit plaintext in a shared page");
-    return o;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -207,25 +50,28 @@ main(int argc, char **argv)
     uint64_t site_totals[chaos::kFaultSiteCount] = {};
     uint64_t violating_seeds = 0;
     for (uint64_t seed = 1; seed <= seeds; ++seed) {
-        SeedOutcome o = runSeed(seed);
-        terminated += o.terminated && o.violations.empty();
-        halted += o.halted && o.violations.empty();
-        injected += o.injected;
-        retries += o.retries;
+        SoakOutcome o = runSoakSeed(seed);
+        std::vector<std::string> violations = soakViolations(o);
+        bool clean = violations.empty();
+        terminated += o.run.terminated && clean;
+        halted += o.run.halted && clean;
+        injected += o.faults.totalInjected();
+        retries += o.guestRetries;
         produced += o.produced;
         stored += o.stored;
         for (size_t i = 0; i < chaos::kFaultSiteCount; ++i)
-            site_totals[i] += o.siteInjected[i];
-        violating_seeds += !o.violations.empty();
-        std::string outcome = !o.violations.empty() ? "VIOLATION"
-                              : o.terminated        ? "terminated"
-                                                    : "halted";
-        std::string detail = !o.violations.empty() ? o.violations[0]
-                             : o.halted            ? o.haltReason
-                                                   : "orderly exit";
-        per_seed.addRow({fmt("%llu", (unsigned long long)o.seed), outcome,
-                         fmt("%llu", (unsigned long long)o.injected),
-                         fmt("%llu", (unsigned long long)o.retries),
+            site_totals[i] += o.faults.injected[i];
+        violating_seeds += !clean;
+        std::string outcome = !clean           ? "VIOLATION"
+                              : o.run.terminated ? "terminated"
+                                                 : "halted";
+        std::string detail = !clean         ? violations[0]
+                             : o.run.halted ? o.haltReason
+                                            : "orderly exit";
+        per_seed.addRow({fmt("%llu", (unsigned long long)seed), outcome,
+                         fmt("%llu",
+                             (unsigned long long)o.faults.totalInjected()),
+                         fmt("%llu", (unsigned long long)o.guestRetries),
                          fmt("%llu/%llu", (unsigned long long)o.stored,
                              (unsigned long long)o.produced),
                          detail.substr(0, 48)});

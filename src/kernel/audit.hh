@@ -9,9 +9,10 @@
  *    modified Kaudit baseline — Auditd's slow disk writer removed);
  *  - VeilLog: each record is sent to VeilS-LOG through an IDCB +
  *    domain switch *before* the event executes (execute-ahead);
- *  - VeilLogBatched: records accumulate in a per-VCPU shared ring and
- *    are group-committed to VeilS-LOG in one batch call — amortizes
- *    the domain switches at the cost of a bounded loss window.
+ *  - VeilLogBatched: each record queues as a LogAppend slot on the
+ *    per-VCPU VeilOp ring (DESIGN.md §11) and one doorbell drains a
+ *    batch — amortizes the domain switches at the cost of a bounded
+ *    window in which queued records are unprotected.
  */
 #ifndef VEIL_KERNEL_AUDIT_HH_
 #define VEIL_KERNEL_AUDIT_HH_

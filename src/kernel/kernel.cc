@@ -50,7 +50,6 @@ Kernel::Kernel(Machine &machine, const core::CvmLayout &layout,
 {
     audit_.setBackend(config_.auditBackend);
     audit_.setRules(config_.auditRules);
-    auditRings_.resize(layout_.numVcpus);
     opRings_.resize(layout_.numVcpus);
     deferredFreePages_.resize(layout_.numVcpus);
     scheduledEnclaveVmsa_.assign(layout_.numVcpus, snp::kInvalidVmsa);
@@ -227,10 +226,9 @@ Kernel::bspMain(Vcpu &cpu)
     textHi_ = textLo_ + kKernelTextPages * kPageSize;
     dataLo_ = textHi_;
     dataHi_ = dataLo_ + kKernelDataPages * kPageSize;
-    // The audit and VeilOp rings at the top of memory are reserved
-    // kernel state, never handed out as frames. The allocator is
-    // bottom-up, so lowering its ceiling leaves every address it hands
-    // out unchanged.
+    // The VeilOp rings at the top of memory are reserved kernel state,
+    // never handed out as frames. The allocator is bottom-up, so
+    // lowering its ceiling leaves every address it hands out unchanged.
     frames_ = std::make_unique<FrameAllocator>(dataHi_, layout_.opRingBase);
     // Fleet workers fault, clone and reap on every VCPU's host thread;
     // the single-threaded free list would hand one frame out twice.
@@ -253,16 +251,10 @@ Kernel::bspMain(Vcpu &cpu)
     // Install the interrupt handler (LIDT analogue).
     idtHandlerVa_ = textLo_ + 0x100;
     cpu.vmsa().idtHandlerVa = idtHandlerVa_;
-    if (audit_.backend() == AuditBackend::VeilLogBatched ||
-        (config_.veilEnabled && config_.serviceBatching)) {
-        // Timer-tick tail of the interrupt handler: flush the audit or
-        // VeilOp ring if the oldest queued entry has passed its
-        // deadline. Each check self-gates on its own mode and pending
-        // count, so sharing the hook costs the other mode nothing.
-        cpu.vmsa().softTimerHook = [this] {
-            auditMaybeDeadlineFlush();
-            opMaybeDeadlineFlush();
-        };
+    if (opRingOn()) {
+        // Timer-tick tail of the interrupt handler: ring the doorbell if
+        // the oldest queued op has passed its deadline.
+        cpu.vmsa().softTimerHook = [this] { opMaybeDeadlineFlush(); };
     }
 
     if (config_.veilEnabled && config_.activateKci) {
@@ -304,6 +296,7 @@ Kernel::makeProcess(const std::string &comm, bool light_as)
     proc->as = light_as ? std::make_unique<AddressSpace>(machine_, *frames_,
                                                          dataHi_, textLo_)
                         : std::make_unique<AddressSpace>(machine_, *frames_);
+    proc->as->guardTables(config_.veilEnabled ? Vmpl::Vmpl3 : Vmpl::Vmpl0);
     // fds 0/1/2: console.
     for (int i = 0; i < 3; ++i) {
         FdEntry e;
@@ -342,11 +335,8 @@ Kernel::reapProcess(Process &proc)
 void
 Kernel::terminate(uint64_t status)
 {
-    // Drain barriers: no audited event or deferred VeilOp may be lost
-    // across an orderly shutdown (bounds the group-commit loss window
-    // to crashes).
-    if (audit_.backend() == AuditBackend::VeilLogBatched)
-        auditRingFlush(AuditFlushTrigger::Barrier);
+    // Drain barrier: no audit record or other deferred VeilOp may be
+    // lost across an orderly shutdown (bounds the loss window to crashes).
     opRingBarrier();
     Vcpu &c = cpu();
     c.vmsa().ghcbGpa = layout_.osGhcb(c.vcpuId());
@@ -368,11 +358,8 @@ Kernel::callMonitor(IdcbMessage &msg)
     // already queued in the submission ring (program order = service
     // order; a queued PageStateChange and a sync one on the same page
     // must land in submission order).
-    if (config_.veilEnabled && config_.serviceBatching &&
-        curCpu() != nullptr &&
-        opRings_[curCpu()->vcpuId()].pending > 0 && auditFlushAllowed()) {
+    if (opFlushAllowed())
         opRingFlush(OpFlushTrigger::Barrier);
-    }
     ++stats_.monitorCalls;
     if (msg.op < core::kVeilOpCount)
         ++stats_.veilOpCalls[msg.op];
@@ -394,19 +381,11 @@ Kernel::callService(IdcbMessage &msg)
 {
     // Drain barrier: a sync service call must not overtake VeilOps
     // already queued in the submission ring (program order = service
-    // order). The doorbell itself is exempt — it *is* the drain.
+    // order; a LogQuery reply reflects every record produced so far).
+    // The doorbell itself is exempt — it *is* the drain.
     bool doorbell = msg.op == static_cast<uint32_t>(VeilOp::OpRingDoorbell);
-    if (!doorbell && config_.veilEnabled && config_.serviceBatching &&
-        curCpu() != nullptr && opRings_[curCpu()->vcpuId()].pending > 0 &&
-        auditFlushAllowed()) {
+    if (!doorbell && opFlushAllowed())
         opRingFlush(OpFlushTrigger::Barrier);
-    }
-    // Drain barrier: a LogQuery reply must reflect every record the
-    // kernel has produced so far, including those still in the ring.
-    if (msg.op == static_cast<uint32_t>(VeilOp::LogQuery) &&
-        audit_.backend() == AuditBackend::VeilLogBatched) {
-        auditRingFlush(AuditFlushTrigger::Barrier);
-    }
     ++stats_.serviceCalls;
     if (msg.op < core::kVeilOpCount)
         ++stats_.veilOpCalls[msg.op];
@@ -433,10 +412,8 @@ Kernel::callServiceBatched(IdcbMessage &msg)
         msg.status = static_cast<uint64_t>(VeilStatus::Ok);
         return;
     }
-    if (config_.veilEnabled && config_.serviceBatching &&
-        opDeferrable(msg.op)) {
+    if (opRingOn() && opDeferrable(msg.op))
         ++stats_.opSyncFallbacks;
-    }
     if (msg.op == static_cast<uint32_t>(VeilOp::PageStateChange))
         callMonitor(msg);
     else
@@ -852,7 +829,7 @@ Kernel::enclaveFreePage(Process &proc, Gva va)
         deferredFreePages_[cpu().vcpuId()].push_back({seq, &proc, va, pa});
         return 0;
     }
-    if (config_.veilEnabled && config_.serviceBatching)
+    if (opRingOn() && opDeferrable(m.op))
         ++stats_.opSyncFallbacks;
 
     callService(m);
@@ -956,12 +933,9 @@ Kernel::prepEnclaveRun(Process &proc)
     ensure(proc.enclave && proc.enclave->alive, "prepEnclaveRun: no enclave");
     // Drain barrier: records describing pre-enclave activity must be
     // protected before control enters the (mutually distrusting)
-    // enclave, mirroring execute-ahead ordering at this boundary.
-    if (audit_.backend() == AuditBackend::VeilLogBatched)
-        auditRingFlush(AuditFlushTrigger::Barrier);
-    // Same boundary for deferred VeilOps: queued EncFreePage/EncSyncPerms
-    // must take effect before the enclave can observe (or touch) the
-    // affected pages.
+    // enclave, mirroring execute-ahead ordering at this boundary, and
+    // queued EncFreePage/EncSyncPerms must take effect before the
+    // enclave can observe (or touch) the affected pages.
     opRingBarrier();
     Vcpu &c = cpu();
     // Scheduler hook (§6.2): when a different enclave gets the VCPU,
@@ -1007,7 +981,6 @@ Kernel::auditHook(Process &proc, uint32_t no, const uint64_t args[6])
         return;
     }
     Vcpu &c = cpu();
-    uint64_t t0 = c.rdtsc();
     uint64_t seq = audit_.nextSeq();
     std::string rec =
         audit_.format(proc.pid, proc.comm, no, args, c.rdtsc(), seq);
@@ -1018,8 +991,12 @@ Kernel::auditHook(Process &proc, uint32_t no, const uint64_t args[6])
         audit_.kauditAppend(rec);
         c.burn(kKauditAppendCycles);
         break;
-      case AuditBackend::VeilLog: {
-        // Execute-ahead: protect the record before the event runs.
+      case AuditBackend::VeilLog:
+      case AuditBackend::VeilLogBatched: {
+        // Execute-ahead: protect the record before the event runs. The
+        // op ring (VeilLogBatched, or service batching) queues it as a
+        // LogAppend slot instead (weaker — see §11 mode legality); a
+        // record the ring cannot take goes sync, never dropped.
         IdcbMessage m;
         m.op = static_cast<uint32_t>(VeilOp::LogAppend);
         size_t len = std::min(rec.size(), core::kIdcbPayloadMax);
@@ -1030,178 +1007,54 @@ Kernel::auditHook(Process &proc, uint32_t no, const uint64_t args[6])
         }
         std::memcpy(m.payload, rec.data(), len);
         m.payloadLen = static_cast<uint32_t>(len);
-        // With service batching on, individual records queue through the
-        // op ring (weaker than execute-ahead — see §11 mode legality).
         callServiceBatched(m);
         break;
       }
-      case AuditBackend::VeilLogBatched:
-        auditRingAppend(rec);
-        break;
       case AuditBackend::None:
         break;
     }
     ++stats_.auditRecords;
-    stats_.auditCycles += c.rdtsc() - t0;
-}
-
-uint64_t
-Kernel::auditRingPending(uint32_t vcpu) const
-{
-    ensure(vcpu < auditRings_.size(), "auditRingPending: bad vcpu");
-    return auditRings_[vcpu].pending;
-}
-
-bool
-Kernel::auditFlushAllowed() const
-{
-    // No nested IDCB call while one is already in flight on this VCPU,
-    // and no service call from inside an enclave session: ocall context
-    // holds the enclave's GHCB/cr3, which a flush must not disturb.
-    Vcpu *c = curCpu();
-    if (!booted_ || c == nullptr)
-        return false;
-    uint32_t v = c->vcpuId();
-    return !idcbBusy_[v] && !inEnclaveSession_[v];
-}
-
-void
-Kernel::auditRingAppend(const std::string &rec)
-{
-    Vcpu &c = cpu();
-    AuditRingState &ring = auditRings_[c.vcpuId()];
-    Gpa base = layout_.logRing(c.vcpuId());
-
-    if (!ring.initialized) {
-        core::AuditRingHeader h;
-        h.capacity = core::kAuditRingSlots;
-        c.writePhys(base, &h, sizeof(h));
-        ring.initialized = true;
-    }
-
-    // Size trigger first: make room before this record queues. A full
-    // ring forces the same flush even when the configured batch size
-    // exceeds the ring capacity.
-    if ((ring.pending >= config_.auditBatchSize ||
-         ring.pending >= core::kAuditRingSlots) &&
-        auditFlushAllowed()) {
-        auditRingFlush(AuditFlushTrigger::Size);
-    }
-    if (ring.pending >= core::kAuditRingSlots) {
-        // Ring full and flushing impossible (e.g. ocall context):
-        // drop, never overwrite unprotected records.
-        ++ring.producerDrops;
-        ++stats_.auditRingDrops;
-        c.writePhys(base + offsetof(core::AuditRingHeader, producerDrops),
-                    &ring.producerDrops, sizeof(ring.producerDrops));
-        return;
-    }
-
-    uint32_t len = static_cast<uint32_t>(
-        std::min(rec.size(), core::kAuditSlotDataMax));
-    if (len < rec.size()) {
-        ++stats_.auditTruncations;
-        machine_.tracer().instant(trace::Category::AuditTruncate, rec.size());
-    }
-    Gpa slot = core::auditRingSlot(base, ring.head);
-    c.writePhys(slot, &len, sizeof(len));
-    c.writePhys(slot + sizeof(len), rec.data(), len);
-    ++ring.head;
-    if (ring.pending++ == 0)
-        ring.oldestTsc = c.rdtsc();
-    c.writePhys(base + offsetof(core::AuditRingHeader, head), &ring.head,
-                sizeof(ring.head));
-    c.burn(kKauditAppendCycles);
-}
-
-void
-Kernel::auditRingFlush(AuditFlushTrigger trigger)
-{
-    Vcpu &c = cpu();
-    AuditRingState &ring = auditRings_[c.vcpuId()];
-    if (ring.pending == 0)
-        return;
-    ensure(auditFlushAllowed(), "auditRingFlush: flush not allowed here");
-
-    trace::SpanScope span(machine_.tracer(), trace::Category::AuditFlush,
-                          ring.pending);
-    // Bounded retry on transient denial: the batch consumer advances
-    // the shared tail before replying, so a re-issued flush re-offers
-    // only records the service has not yet consumed (idempotent). A
-    // persistently-failing flush halts with attribution rather than
-    // silently shedding protected records.
-    constexpr int kFlushRetryMax = 3;
-    for (int attempt = 0;; ++attempt) {
-        IdcbMessage m;
-        m.op = static_cast<uint32_t>(VeilOp::LogAppendBatch);
-        m.args[0] = layout_.logRing(c.vcpuId());
-        callService(m);
-        if (okStatus(m))
-            break;
-        if (attempt >= kFlushRetryMax) {
-            throw snp::CvmHaltFault(
-                "auditRingFlush: LogAppendBatch denied beyond the retry "
-                "budget");
-        }
-        ++stats_.auditFlushRetries;
-        c.burn(2'000 << attempt);
-    }
-
-    ++stats_.auditBatchFlushes;
-    stats_.auditFlushedRecords += ring.pending;
-    switch (trigger) {
-      case AuditFlushTrigger::Size: ++stats_.auditFlushSize; break;
-      case AuditFlushTrigger::Deadline: ++stats_.auditFlushDeadline; break;
-      case AuditFlushTrigger::Barrier: ++stats_.auditFlushBarrier; break;
-    }
-    ring.pending = 0;
-    ring.oldestTsc = 0;
-}
-
-void
-Kernel::auditMaybeDeadlineFlush()
-{
-    Vcpu *c = curCpu();
-    if (!auditFlushAllowed() || c == nullptr)
-        return;
-    AuditRingState &ring = auditRings_[c->vcpuId()];
-    if (ring.pending == 0)
-        return;
-    if (c->rdtsc() - ring.oldestTsc < config_.auditFlushDeadlineCycles)
-        return;
-    auditRingFlush(AuditFlushTrigger::Deadline);
 }
 
 // ---- Batched VeilOp submission (exit-less service calls, §11) ----
 
 bool
+Kernel::opRingOn() const
+{
+    return config_.veilEnabled &&
+           (config_.serviceBatching ||
+            audit_.backend() == AuditBackend::VeilLogBatched);
+}
+
+bool
 Kernel::opDeferrable(uint32_t op) const
 {
     // Fire-and-forget ops whose results no call site consumes inline.
-    // LogAppendBatch is itself a flush op and is deliberately NOT
-    // deferrable: queueing it would reset the audit ring's pending
-    // count while records sit undrained in the shared audit ring.
+    // Batched audit alone queues only its LogAppend records.
     switch (static_cast<VeilOp>(op)) {
       case VeilOp::LogAppend:
+        return true;
       case VeilOp::EncSyncPerms:
       case VeilOp::EncFreePage:
       case VeilOp::PageStateChange:
-        return true;
+        return config_.serviceBatching;
       default:
         return false;
     }
 }
 
 bool
-Kernel::opBatchingLegal() const
+Kernel::opFlushAllowed() const
 {
-    // Same gate as audit flushing, plus the mode switches: no queueing
-    // before boot, from ocall context (an enclave session holds the
-    // enclave GHCB/cr3 and deferring EncSyncPerms/EncFreePage there
-    // would let the enclave touch not-yet-revoked frames), or while an
-    // IDCB call is in flight on this VCPU.
-    return config_.veilEnabled && config_.serviceBatching &&
-           auditFlushAllowed();
+    // No nested IDCB call while one is in flight on this VCPU, and none
+    // from an enclave session: ocall context holds the enclave's
+    // GHCB/cr3, and an EncSyncPerms/EncFreePage deferred there would let
+    // the enclave touch not-yet-revoked frames.
+    Vcpu *c = curCpu();
+    if (!booted_ || c == nullptr)
+        return false;
+    uint32_t v = c->vcpuId();
+    return !idcbBusy_[v] && !inEnclaveSession_[v];
 }
 
 uint64_t
@@ -1214,7 +1067,7 @@ Kernel::opRingPending(uint32_t vcpu) const
 bool
 Kernel::opSubmit(const IdcbMessage &msg, uint32_t *seq_out)
 {
-    if (!opBatchingLegal() || !opDeferrable(msg.op))
+    if (!opRingOn() || !opFlushAllowed() || !opDeferrable(msg.op))
         return false;
     if (msg.payloadLen > core::kOpPayloadMax)
         return false; // oversized: sync path keeps the 2 KB transport
@@ -1242,6 +1095,7 @@ Kernel::opSubmit(const IdcbMessage &msg, uint32_t *seq_out)
     if (ring.pending >= core::kOpRingSlots)
         return false; // still full: backpressure falls back to sync
 
+    // Marshal the slot header and only the payload bytes in use.
     core::VeilOpSlot slot;
     slot.op = msg.op;
     slot.seq = static_cast<uint32_t>(ring.submitted);
@@ -1251,7 +1105,8 @@ Kernel::opSubmit(const IdcbMessage &msg, uint32_t *seq_out)
     std::memcpy(slot.payload, msg.payload, msg.payloadLen);
     Gpa sp = core::ringSlot(sub, core::kOpSlotBytes, core::kOpRingSlots,
                             ring.head);
-    c.writePhys(sp, &slot, sizeof(slot));
+    c.writePhys(sp, &slot, offsetof(core::VeilOpSlot, payload) +
+                               slot.payloadLen);
     ++ring.head;
     ++ring.submitted;
     if (ring.pending++ == 0)
@@ -1276,7 +1131,7 @@ Kernel::opRingFlush(OpFlushTrigger trigger)
     OpRingState &ring = opRings_[c.vcpuId()];
     if (ring.pending == 0)
         return;
-    ensure(auditFlushAllowed(), "opRingFlush: flush not allowed here");
+    ensure(opFlushAllowed(), "opRingFlush: flush not allowed here");
 
     trace::SpanScope span(machine_.tracer(), trace::Category::RingFlush,
                           ring.pending);
@@ -1287,6 +1142,7 @@ Kernel::opRingFlush(OpFlushTrigger trigger)
     // attribution rather than silently shedding deferred ops.
     constexpr int kDoorbellRetryMax = 3;
     for (int attempt = 0;; ++attempt) {
+        uint64_t audit0 = stats_.auditFlushedRecords;
         IdcbMessage m;
         m.op = static_cast<uint32_t>(VeilOp::OpRingDoorbell);
         callService(m);
@@ -1298,6 +1154,8 @@ Kernel::opRingFlush(OpFlushTrigger trigger)
         c.readPhys(layout_.opSubRing(c.vcpuId()), &h, sizeof(h));
         ring.pending = ring.head - std::min(h.tail, ring.head);
         opHarvestCompletions();
+        if (stats_.auditFlushedRecords != audit0)
+            ++stats_.auditBatchFlushes;
         if (okStatus(m) && ring.pending == 0)
             break;
         if (attempt >= kDoorbellRetryMax) {
@@ -1356,6 +1214,8 @@ Kernel::opCompletionArrived(const core::VeilOpCompletion &cpl)
     bool ok = cpl.status == static_cast<uint64_t>(VeilStatus::Ok);
     if (!ok)
         ++stats_.opCplErrors;
+    if (cpl.op == static_cast<uint32_t>(VeilOp::LogAppend))
+        ++stats_.auditFlushedRecords;
 
     // Deferred EncFreePage: the frame now holds the sealed page image;
     // run the swap-out post-processing the sync path does inline.
@@ -1392,10 +1252,8 @@ Kernel::opCompletionArrived(const core::VeilOpCompletion &cpl)
 void
 Kernel::opMaybeDeadlineFlush()
 {
-    if (!config_.veilEnabled || !config_.serviceBatching)
-        return;
     Vcpu *c = curCpu();
-    if (!auditFlushAllowed() || c == nullptr)
+    if (!opFlushAllowed() || c == nullptr)
         return;
     OpRingState &ring = opRings_[c->vcpuId()];
     if (ring.pending == 0)
@@ -1409,7 +1267,7 @@ void
 Kernel::opRingBarrier()
 {
     Vcpu *c = curCpu();
-    if (!config_.veilEnabled || !config_.serviceBatching || c == nullptr)
+    if (!opRingOn() || c == nullptr)
         return;
     opRingFlush(OpFlushTrigger::Barrier);
     if (!deferredFreePages_[c->vcpuId()].empty()) {
@@ -1792,6 +1650,10 @@ Kernel::sysMmap(Process &p, Gva addr, uint64_t len, int prot, int flags,
             }
         }
         Gpa frame = frames_->alloc();
+        // Zero-fill is a private (C-bit) store: a frame the host flipped
+        // to shared faults here (#NPF) instead of reaching VeilS-ENC as
+        // an unusable enclave frame that fails EncCreate unattributed.
+        c.checkRmp(frame, kPageSize, Access::Write);
         machine_.memory().zeroPage(frame);
         c.burn(kPageZeroCycles);
         p.as->mapUser(va + i * kPageSize, frame, prot);

@@ -32,22 +32,18 @@ struct KernelConfig
     bool activateKci = true;
     AuditBackend auditBackend = AuditBackend::None;
     std::set<uint32_t> auditRules;
-    /// VeilLogBatched: flush the ring once this many records queue up.
-    uint32_t auditBatchSize = 32;
-    /// VeilLogBatched: flush on the first timer tick once the oldest
-    /// queued record has been pending this many cycles (bounds the loss
-    /// window; see DESIGN.md §9).
-    uint64_t auditFlushDeadlineCycles = 2'000'000;
     /// Exit-less VeilOp batching (DESIGN.md §11): queue deferrable
     /// service calls (LogAppend, EncSyncPerms, EncFreePage,
     /// PageStateChange) in the per-VCPU submission ring and ring the
     /// doorbell in groups instead of paying a domain-switch round trip
     /// per call. Off by default: the sync path stays bit-identical.
     bool serviceBatching = false;
-    /// serviceBatching: doorbell once this many ops queue up.
-    uint32_t opBatchSize = 16;
-    /// serviceBatching: doorbell on the first timer tick once the
-    /// oldest queued op has been pending this many cycles.
+    /// Op ring (serviceBatching, or VeilLogBatched, whose records queue
+    /// as LogAppend slots): doorbell once this many ops queue up.
+    uint32_t opBatchSize = 32;
+    /// Op ring: doorbell on the first timer tick once the oldest queued
+    /// op has been pending this many cycles (bounds how long a queued
+    /// audit record stays unprotected).
     uint64_t opFlushDeadlineCycles = 2'000'000;
     /// Lazy acceptance (DESIGN.md §14): the launch left bulk memory
     /// unassigned; boot accepts it via PageStateChange-to-private.
@@ -65,15 +61,12 @@ struct KernelStats
 {
     base::StatCounter syscalls;
     base::StatCounter auditRecords;
-    base::StatCounter auditCycles; ///< cycles producing/sending records
     base::StatCounter auditTruncations; ///< records clamped to fit transport
-    base::StatCounter auditRingDrops;   ///< batched mode: ring full, lost
-    base::StatCounter auditBatchFlushes;  ///< LogAppendBatch calls issued
-    base::StatCounter auditFlushedRecords;///< records carried by flushes
-    base::StatCounter auditFlushSize;     ///< flushes from batch size
-    base::StatCounter auditFlushDeadline; ///< flushes from the deadline
-    base::StatCounter auditFlushBarrier;  ///< flushes from drain barriers
-    base::StatCounter auditFlushRetries;  ///< flushes re-issued after denial
+    /// Audit records the transport lost. The op ring never drops one (a
+    /// record it cannot queue takes the sync LogAppend), so this stays 0.
+    base::StatCounter auditRingDrops;
+    base::StatCounter auditBatchFlushes;  ///< doorbells that drained records
+    base::StatCounter auditFlushedRecords;///< LogAppends served from the ring
     base::StatCounter monitorCalls;
     base::StatCounter serviceCalls;
     base::StatCounter enclaveFaults;
@@ -185,9 +178,6 @@ class Kernel
      */
     void callServiceBatched(core::IdcbMessage &msg);
 
-    /** Batched audit: records queued in this VCPU's ring, not yet flushed. */
-    uint64_t auditRingPending(uint32_t vcpu) const;
-
     /** VeilOps queued in this VCPU's submission ring, not yet drained. */
     uint64_t opRingPending(uint32_t vcpu) const;
 
@@ -261,23 +251,6 @@ class Kernel
     void auditHook(Process &proc, uint32_t no, const uint64_t args[6]);
     uint64_t syscallBaseCost(uint32_t no) const;
 
-    // ---- Batched audit logging (group commit, DESIGN.md §9) ----
-    enum class AuditFlushTrigger { Size, Deadline, Barrier };
-    /// Host-side producer view of one VCPU's shared ring; the shared
-    /// header in guest memory is kept in sync on every append/flush.
-    struct AuditRingState
-    {
-        uint64_t head = 0;          ///< producer index (monotonic)
-        uint64_t pending = 0;       ///< head - flushed tail
-        uint64_t producerDrops = 0; ///< ring-full drops (mirrors header)
-        uint64_t oldestTsc = 0;     ///< TSC when the oldest record queued
-        bool initialized = false;   ///< header written to guest memory
-    };
-    void auditRingAppend(const std::string &rec);
-    void auditRingFlush(AuditFlushTrigger trigger);
-    bool auditFlushAllowed() const;
-    void auditMaybeDeadlineFlush();
-
     // ---- Batched VeilOp submission (exit-less service calls, §11) ----
     enum class OpFlushTrigger { Size, Deadline, Barrier };
     /// Producer view of one VCPU's submission ring + consumer view of
@@ -291,8 +264,11 @@ class Kernel
         uint64_t oldestTsc = 0;   ///< TSC when the oldest op queued
         bool initialized = false; ///< headers written to guest memory
     };
+    /// The op ring is in use: serviceBatching, or batched audit.
+    bool opRingOn() const;
     bool opDeferrable(uint32_t op) const;
-    bool opBatchingLegal() const;
+    /// No ring flush (nor queueing) before boot, mid-IDCB or in-session.
+    bool opFlushAllowed() const;
     /// Queue one call; false when it must go sync (ring full with flush
     /// impossible, oversized payload, batching off). On success the
     /// submission sequence number is stored in *seq_out.
@@ -367,8 +343,7 @@ class Kernel
     /// Per-VCPU: true while servicing an ocall from a running enclave —
     /// such requests originate *inside* the enclave (§6.2).
     std::vector<uint8_t> inEnclaveSession_;
-    std::vector<AuditRingState> auditRings_; ///< one per VCPU
-    std::vector<OpRingState> opRings_;       ///< one per VCPU (§11)
+    std::vector<OpRingState> opRings_; ///< one per VCPU (§11)
     /// EncFreePage post-processing (seal-capture + unmap + frame free)
     /// deferred until the op's completion is harvested. Per VCPU: the
     /// sequence numbers are per-VCPU ring sequences.

@@ -155,6 +155,9 @@ class AddressSpace
                  snp::Gpa kernel_map_hi = 0, snp::Gpa kernel_map_lo = 0);
     ~AddressSpace();
 
+    /** RMP-check every page-table page edited from now on, as @p vmpl. */
+    void guardTables(snp::Vmpl vmpl) { editor_.guard(machine_.rmp(), vmpl); }
+
     snp::Gpa cr3() const { return cr3_; }
 
     /** Map one user page (data page owned by this AS unless noted). */

@@ -9,6 +9,7 @@
 #include "chaos/chaos.hh"
 #include "crypto/dh.hh"
 #include "crypto/drbg.hh"
+#include "sdk/chaos_soak.hh"
 #include "sdk/remote.hh"
 #include "sdk/vm.hh"
 #include "snp/fault.hh"
@@ -456,82 +457,11 @@ runPaperValidationAttacks()
 
 namespace {
 
-/** The soak-style CVM config: batched audit so chaos hits the flush
- *  protocol, small log rings so accounting gaps would be visible. */
-VmConfig
-chaosConfig()
-{
-    VmConfig cfg = attackConfig();
-    cfg.machine.memBytes = 32 * 1024 * 1024;
-    cfg.logBytes = 128 * 1024;
-    cfg.kernel.auditBackend = AuditBackend::VeilLogBatched;
-    cfg.kernel.auditRules = priorWorkAuditRuleset();
-    cfg.kernel.auditBatchSize = 8;
-    cfg.kernel.auditFlushDeadlineCycles = 200'000;
-    return cfg;
-}
-
-/** Facts one chaos run produces, for attack classification. */
-struct ChaosFacts
-{
-    hv::Hypervisor::RunResult run;
-    std::string haltReason;
-    uint64_t injected = 0;     ///< faults the hypervisor landed
-    uint64_t guestRetries = 0; ///< bounded-recovery re-issues
-    uint64_t produced = 0;     ///< audit records emitted
-    uint64_t accounted = 0;    ///< stored + dropped + pending
-    bool auditLeaked = false;  ///< audit text in a shared page
-};
-
-/** Run the standard audited workload under @p inj and collect facts. */
-ChaosFacts
-runChaosWorkload(VeilVm &vm, chaos::FaultInjector &inj)
-{
-    vm.hypervisor().setFaultInjector(&inj);
-    vm.hypervisor().setExitCap(200'000);
-    ChaosFacts f;
-    f.run = vm.run([&](Kernel &k, Process &p) {
-        NativeEnv env(k, p);
-        int fd = int(env.creat("/chaos.bin"));
-        Gva buf = env.alloc(4096);
-        for (int i = 0; i < 6; ++i)
-            env.write(fd, buf, 100);
-        env.close(fd);
-        for (int i = 0; i < 10; ++i)
-            env.close(999);
-    });
-    f.haltReason = vm.machine().haltInfo().reason;
-    f.injected = inj.stats().totalInjected();
-    const MachineStats &m = vm.machine().stats();
-    f.guestRetries = m.hypercallRetries + m.switchRetries +
-                     m.switchDeniedRetries + m.idcbResends;
-    const KernelStats &s = vm.kernel().stats();
-    f.produced = s.auditRecords;
-    f.accounted = vm.services().log().recordCount() +
-                  vm.services().log().droppedRecords() +
-                  s.auditRingDrops + vm.kernel().auditRingPending(0);
-    // Scan every host-visible page for audit plaintext.
-    const char needle[] = "msg=audit(";
-    std::vector<uint8_t> page(kPageSize);
-    for (Gpa gpa = 0; gpa < vm.config().machine.memBytes;
-         gpa += kPageSize) {
-        if (!vm.machine().rmp().isShared(gpa))
-            continue;
-        vm.machine().memory().read(gpa, page.data(), kPageSize);
-        if (std::search(page.begin(), page.end(), needle,
-                        needle + sizeof(needle) - 1) != page.end()) {
-            f.auditLeaked = true;
-            break;
-        }
-    }
-    return f;
-}
-
 std::string
-chaosDetail(const ChaosFacts &f)
+chaosDetail(const SoakOutcome &f)
 {
-    return "absorbed " + std::to_string(f.injected) + " fault(s), " +
-           std::to_string(f.guestRetries) +
+    return "absorbed " + std::to_string(f.faults.totalInjected()) +
+           " fault(s), " + std::to_string(f.guestRetries) +
            " guest retries, audit stream exact";
 }
 
@@ -545,12 +475,10 @@ runChaosAttacks()
     {
         AttackOutcome o{"HV drops VMGEXIT relays (budgeted)",
                         "Sentinel-armed bounded retry", "", false};
-        VeilVm vm(chaosConfig());
-        chaos::FaultInjector inj(chaos::FaultPlan::single(
+        SoakOutcome f = runDirected(chaos::FaultPlan::single(
             chaos::FaultSite::RelayDrop, 0.3, /*seed=*/21, /*budget=*/6));
-        ChaosFacts f = runChaosWorkload(vm, inj);
-        o.defended = f.run.terminated && f.injected >= 1 &&
-                     f.guestRetries >= 1 && f.accounted == f.produced;
+        o.defended = f.run.terminated && f.faults.totalInjected() >= 1 &&
+                     f.guestRetries >= 1 && f.accounted() == f.produced;
         o.observed = o.defended ? chaosDetail(f)
                                 : "run did not absorb drops: " + f.haltReason;
         out.push_back(o);
@@ -559,12 +487,10 @@ runChaosAttacks()
     {
         AttackOutcome o{"HV denies domain switches (budgeted)",
                         "Bounded deny-retry with backoff", "", false};
-        VeilVm vm(chaosConfig());
-        chaos::FaultInjector inj(chaos::FaultPlan::single(
+        SoakOutcome f = runDirected(chaos::FaultPlan::single(
             chaos::FaultSite::SwitchDeny, 0.3, /*seed=*/22, /*budget=*/20));
-        ChaosFacts f = runChaosWorkload(vm, inj);
-        o.defended = f.run.terminated && f.injected >= 1 &&
-                     f.accounted == f.produced;
+        o.defended = f.run.terminated && f.faults.totalInjected() >= 1 &&
+                     f.accounted() == f.produced;
         o.observed = o.defended
                          ? chaosDetail(f)
                          : "run did not absorb denials: " + f.haltReason;
@@ -575,10 +501,8 @@ runChaosAttacks()
         AttackOutcome o{"HV denies every domain switch",
                         "Retry budget expires -> attributed halt", "",
                         false};
-        VeilVm vm(chaosConfig());
-        chaos::FaultInjector inj(chaos::FaultPlan::single(
+        SoakOutcome f = runDirected(chaos::FaultPlan::single(
             chaos::FaultSite::SwitchDeny, 1.0, /*seed=*/23));
-        ChaosFacts f = runChaosWorkload(vm, inj);
         o.defended = f.run.halted && !f.run.exitCapHit &&
                      f.haltReason.find("starved") != std::string::npos;
         o.observed = f.run.halted ? "halted: " + f.haltReason
@@ -590,13 +514,10 @@ runChaosAttacks()
         AttackOutcome o{"HV tampers GHCB result words",
                         "Idempotent re-issue; fenced ocall resume", "",
                         false};
-        VeilVm vm(chaosConfig());
-        chaos::FaultInjector inj(chaos::FaultPlan::single(
-            chaos::FaultSite::GhcbTamper, 0.25, /*seed=*/24,
-            /*budget=*/12));
-        ChaosFacts f = runChaosWorkload(vm, inj);
-        o.defended = f.run.terminated && f.injected >= 1 &&
-                     f.accounted == f.produced && !f.auditLeaked;
+        SoakOutcome f = runDirected(chaos::FaultPlan::single(
+            chaos::FaultSite::GhcbTamper, 0.25, /*seed=*/24, /*budget=*/12));
+        o.defended = f.run.terminated && f.faults.totalInjected() >= 1 &&
+                     f.accounted() == f.produced && !f.auditLeaked;
         o.observed = o.defended
                          ? chaosDetail(f)
                          : "run did not absorb tampering: " + f.haltReason;
@@ -604,15 +525,12 @@ runChaosAttacks()
     }
 
     {
-        AttackOutcome o{"HV flips the audit ring page to shared",
+        AttackOutcome o{"HV flips the op ring page to shared",
                         "C-bit mismatch #NPF; no plaintext", "", false};
-        VeilVm vm(chaosConfig());
-        chaos::FaultPlan plan = chaos::FaultPlan::single(
-            chaos::FaultSite::RmpFlip, 1.0, /*seed=*/25, /*budget=*/1);
-        plan.rmpFlipLo = vm.layout().logRing(0);
-        plan.rmpFlipHi = plan.rmpFlipLo + kPageSize;
-        chaos::FaultInjector inj(plan);
-        ChaosFacts f = runChaosWorkload(vm, inj);
+        SoakOutcome f = runDirected(
+            chaos::FaultPlan::single(chaos::FaultSite::RmpFlip, 1.0,
+                                     /*seed=*/25, /*budget=*/1),
+            /*flip_op_ring=*/true);
         o.defended = f.run.halted &&
                      f.haltReason.find("NPF") != std::string::npos &&
                      !f.auditLeaked;

@@ -111,9 +111,11 @@ EnclaveHost::create(EnclaveProgram program, const Params &params)
     cfg_.asyncOcalls = params.asyncOcalls ? 1 : 0;
     if (params.exitless) {
         // The spinning worker services syscalls synchronously; it must
-        // never need a nested domain switch, so the VeilS-LOG audit
-        // backend (one IDCB round trip per record) is incompatible.
-        ensure(kernel_.audit().backend() != kern::AuditBackend::VeilLog,
+        // never need a nested domain switch, so VeilS-LOG auditing (an
+        // IDCB round trip per in-session record) is incompatible.
+        auto audit = kernel_.audit().backend();
+        ensure(audit != kern::AuditBackend::VeilLog &&
+                   audit != kern::AuditBackend::VeilLogBatched,
                "EnclaveHost: exitless mode is incompatible with VeilS-LOG "
                "auditing");
         // The worker runs in untrusted app context on another VCPU,

@@ -1,7 +1,10 @@
 #include "snp/paging.hh"
 
+#include <algorithm>
+
 #include "base/log.hh"
 #include "snp/fault.hh"
+#include "snp/rmp.hh"
 
 namespace veil::snp {
 
@@ -76,11 +79,21 @@ PageTableEditor::PageTableEditor(GuestMemory &mem, FrameAllocFn alloc,
 {
 }
 
+void
+PageTableEditor::checkTable(Gpa table, Access access) const
+{
+    if (rmp_ && !rmp_->allowed(vmpl_, table, access, Cpl::Supervisor)) {
+        throw NpfFault(pageAlignDown(table), vmpl_, access,
+                       "page-table page RMP violation");
+    }
+}
+
 Gpa
 PageTableEditor::createRoot()
 {
     Gpa root = alloc_();
     ensure(isPageAligned(root), "PageTableEditor: unaligned table frame");
+    checkTable(root, Access::Write);
     mem_.zeroPage(root);
     return root;
 }
@@ -88,11 +101,13 @@ PageTableEditor::createRoot()
 Gpa
 PageTableEditor::ensureTable(Gpa table, unsigned idx)
 {
+    checkTable(table, Access::Write);
     Gpa entry_addr = table + idx * 8;
     uint64_t entry = mem_.readObj<uint64_t>(entry_addr);
     if (entry & PtePresent)
         return entry & kPteAddrMask;
     Gpa frame = alloc_();
+    checkTable(frame, Access::Write);
     mem_.zeroPage(frame);
     // Interior entries carry the most permissive flags; leaves restrict.
     uint64_t e = (frame & kPteAddrMask) | PtePresent | PteWrite | PteUser;
@@ -103,6 +118,7 @@ PageTableEditor::ensureTable(Gpa table, unsigned idx)
 Gpa
 PageTableEditor::ensureLeafTable(Gpa table, Gva va)
 {
+    checkTable(table, Access::Write);
     Gpa entry_addr = table + ptIndex(va, 1) * 8;
     uint64_t entry = mem_.readObj<uint64_t>(entry_addr);
     if ((entry & PtePresent) && (entry & PtePs)) {
@@ -111,6 +127,7 @@ PageTableEditor::ensureLeafTable(Gpa table, Gva va)
         // identical attribute bits, so no access outcome changes — the
         // caller's 4 KiB edit then lands in the new table.
         Gpa l0 = alloc_();
+        checkTable(l0, Access::Write);
         mem_.zeroPage(l0);
         uint64_t attrs = entry & ~(kPteAddrMask2m | uint64_t(PtePs));
         Gpa frame = entry & kPteAddrMask2m;
@@ -135,6 +152,7 @@ PageTableEditor::map(Gpa cr3, Gva va, Gpa pa, PageFlags flags)
     for (int level = 3; level >= 2; --level)
         table = ensureTable(table, ptIndex(va, level));
     table = ensureLeafTable(table, va);
+    checkTable(table, Access::Write);
     mem_.writeObj<uint64_t>(table + ptIndex(va, 0) * 8, flags.toPte(pa));
 }
 
@@ -146,6 +164,7 @@ PageTableEditor::map2m(Gpa cr3, Gva va, Gpa pa, PageFlags flags)
     Gpa table = cr3;
     for (int level = 3; level >= 2; --level)
         table = ensureTable(table, ptIndex(va, level));
+    checkTable(table, Access::Write);
     Gpa entry_addr = table + ptIndex(va, 1) * 8;
     uint64_t old = mem_.readObj<uint64_t>(entry_addr);
     // Replacing a live L0 subtree would leak its table frame; callers
@@ -160,6 +179,7 @@ PageTableEditor::unmap(Gpa cr3, Gva va)
 {
     Gpa table = cr3;
     for (int level = 3; level >= 1; --level) {
+        checkTable(table, Access::Write);
         uint64_t entry =
             mem_.readObj<uint64_t>(table + ptIndex(va, level) * 8);
         if (!(entry & PtePresent))
@@ -172,6 +192,7 @@ PageTableEditor::unmap(Gpa cr3, Gva va)
         }
         table = entry & kPteAddrMask;
     }
+    checkTable(table, Access::Write);
     Gpa leaf_addr = table + ptIndex(va, 0) * 8;
     uint64_t entry = mem_.readObj<uint64_t>(leaf_addr);
     if (!(entry & PtePresent))
@@ -194,6 +215,7 @@ PageTableEditor::leaf(Gpa cr3, Gva va) const
 {
     Gpa table = cr3;
     for (int level = 3; level >= 1; --level) {
+        checkTable(table, Access::Read);
         uint64_t entry =
             mem_.readObj<uint64_t>(table + ptIndex(va, level) * 8);
         if (!(entry & PtePresent))
@@ -209,6 +231,7 @@ PageTableEditor::leaf(Gpa cr3, Gva va) const
         }
         table = entry & kPteAddrMask;
     }
+    checkTable(table, Access::Read);
     uint64_t entry = mem_.readObj<uint64_t>(table + ptIndex(va, 0) * 8);
     if (!(entry & PtePresent))
         return std::nullopt;
@@ -220,12 +243,14 @@ PageTableEditor::leaf2m(Gpa cr3, Gva va) const
 {
     Gpa table = cr3;
     for (int level = 3; level >= 2; --level) {
+        checkTable(table, Access::Read);
         uint64_t entry =
             mem_.readObj<uint64_t>(table + ptIndex(va, level) * 8);
         if (!(entry & PtePresent))
             return std::nullopt;
         table = entry & kPteAddrMask;
     }
+    checkTable(table, Access::Read);
     uint64_t entry = mem_.readObj<uint64_t>(table + ptIndex(va, 1) * 8);
     if (!(entry & PtePresent) || !(entry & PtePs))
         return std::nullopt;
@@ -236,19 +261,50 @@ void
 PageTableEditor::forEachLeaf(Gpa cr3, Gva lo, Gva hi,
                              const std::function<void(Gva, uint64_t)> &cb) const
 {
-    // Walk level by level; ranges in this simulator are modest, so a
-    // page-stride probe is fast enough and far simpler than a recursive
-    // sparse traversal.
-    for (Gva va = pageAlignDown(lo); va < hi; va += kPageSize) {
-        auto e = leaf(cr3, va);
-        if (e)
-            cb(va, *e);
+    forEachLeafIn(cr3, 3, 0, pageAlignDown(lo), hi, cb);
+}
+
+void
+PageTableEditor::forEachLeafIn(
+    Gpa table, int level, Gva base, Gva lo, Gva hi,
+    const std::function<void(Gva, uint64_t)> &cb) const
+{
+    // Sparse traversal: each table is checked and read once, and
+    // non-present subtrees are skipped whole. Visits exactly the pages
+    // a page-stride leaf() probe of [lo, hi) would, in the same order.
+    checkTable(table, Access::Read);
+    const Gva span = Gva(1) << (kPageShift + 9 * level);
+    for (unsigned i = lo > base ? unsigned((lo - base) / span) : 0; i < 512;
+         ++i) {
+        Gva va = base + i * span;
+        if (va >= hi)
+            break;
+        uint64_t entry = mem_.readObj<uint64_t>(table + i * 8);
+        if (!(entry & PtePresent))
+            continue;
+        if (level == 0) {
+            cb(va, entry);
+        } else if (level == 1 && (entry & PtePs)) {
+            // The 4 KiB view of a huge leaf, as leaf() synthesizes it.
+            uint64_t attrs = entry & ~(kPteAddrMask2m | uint64_t(PtePs));
+            Gpa frame = entry & kPteAddrMask2m;
+            for (Gva p = std::max(va, lo); p < std::min(va + span, hi);
+                 p += kPageSize)
+                cb(p, attrs | (frame + (p - va)));
+        } else {
+            forEachLeafIn(entry & kPteAddrMask, level - 1, va, lo, hi, cb);
+        }
     }
 }
 
 void
 PageTableEditor::destroyLevel(Gpa table, int level)
 {
+    // Teardown never throws (it runs from destructors): a table page
+    // the host took is neither read nor returned to the allocator, and
+    // the subtree below it is abandoned with it.
+    if (rmp_ && !rmp_->allowed(vmpl_, table, Access::Read, Cpl::Supervisor))
+        return;
     // Levels 3..1 point at child tables; level 0 entries point at data
     // pages, which belong to the address-space owner and are freed
     // separately.

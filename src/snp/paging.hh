@@ -88,17 +88,29 @@ std::optional<Translation> tryWalk(const GuestMemory &mem, Gpa cr3, Gva va,
 using FrameAllocFn = std::function<Gpa()>;
 /** Releases a table frame. */
 using FrameFreeFn = std::function<void(Gpa)>;
+class RmpTable;
+
 /**
  * Software editor for a page-table tree rooted at cr3.
  *
- * All table reads/writes are raw guest-memory operations; callers are
- * trusted software operating on frames they own (the RMP still protects
- * those frames from *other* domains).
+ * All table reads/writes are raw guest-memory operations, modelling the
+ * owning software's private (C-bit) accesses. Once guarded, every table
+ * page is RMP-checked for the owner's VMPL before it is touched: a page
+ * the host flipped to shared faults (#NPF) like the real access would,
+ * instead of handing back re-keyed junk as page-table entries.
  */
 class PageTableEditor
 {
   public:
     PageTableEditor(GuestMemory &mem, FrameAllocFn alloc, FrameFreeFn free_fn);
+
+    /** RMP-check every table page touched from now on as @p vmpl. */
+    void
+    guard(const RmpTable &rmp, Vmpl vmpl)
+    {
+        rmp_ = &rmp;
+        vmpl_ = vmpl;
+    }
 
     /** Allocate a fresh empty root; returns the new cr3. */
     Gpa createRoot();
@@ -143,10 +155,16 @@ class PageTableEditor
      *  splits a 2 MiB leaf into one (512 replicated PTEs). */
     Gpa ensureLeafTable(Gpa table, Gva va);
     void destroyLevel(Gpa table, int level);
+    void forEachLeafIn(Gpa table, int level, Gva base, Gva lo, Gva hi,
+                       const std::function<void(Gva, uint64_t)> &cb) const;
+    /** Throws NpfFault when guarded and @p vmpl may not @p access it. */
+    void checkTable(Gpa table, Access access) const;
 
     GuestMemory &mem_;
     FrameAllocFn alloc_;
     FrameFreeFn free_;
+    const RmpTable *rmp_ = nullptr; ///< set by guard()
+    Vmpl vmpl_ = Vmpl::Vmpl0;
 };
 
 /** Index of @p va at page-table @p level (3 = root). */

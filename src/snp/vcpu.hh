@@ -73,6 +73,9 @@ class Vcpu
     void readPhys(Gpa pa, void *out, size_t len);
     void writePhys(Gpa pa, const void *data, size_t len);
     void zeroPhys(Gpa page);
+    /** The RMP check of a physical access alone (no charge, no data):
+     *  throws #NPF on a violation. */
+    void checkRmp(Gpa pa, size_t len, Access access);
 
     // ---- Privileged instructions ----
 
@@ -142,7 +145,6 @@ class Vcpu
      */
     Gpa translateChecked(Gva va, Access access) const;
 
-    void checkRmp(Gpa pa, size_t len, Access access);
     void checkPhysPrivilege(Gpa pa, size_t len);
 
     Machine &machine_;

@@ -63,7 +63,8 @@ enum class Category : uint8_t {
     EnclavePageIn,   ///< enclave page restored from sealed storage
     EnclavePageOut,  ///< enclave page sealed out
     CryptoKeySetup,  ///< AES key schedule / HMAC midstate derivation
-    AuditFlush,      ///< batched audit ring group-commit (arg = records)
+    AuditFlush,      ///< no longer emitted: batched audit drains under
+                     ///< RingFlush; kept so category ids stay stable
     AuditTruncate,   ///< audit record clamped to transport (arg = size)
     FaultInject,     ///< VeilChaos fault injected by the hypervisor
     RingFlush,       ///< VeilOp ring doorbell/drain (arg = ops, §11)

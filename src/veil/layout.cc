@@ -62,13 +62,6 @@ CvmLayout::srvMonIdcb(uint32_t vcpu) const
 }
 
 Gpa
-CvmLayout::logRing(uint32_t vcpu) const
-{
-    ensure(vcpu < numVcpus, "layout: bad vcpu");
-    return logRingBase + Gpa(vcpu) * kAuditRingPages * kPageSize;
-}
-
-Gpa
 CvmLayout::opSubRing(uint32_t vcpu) const
 {
     ensure(vcpu < numVcpus, "layout: bad vcpu");
@@ -156,17 +149,11 @@ CvmLayout::compute(size_t mem_bytes, uint32_t vcpus, size_t image_bytes,
     l.kernelBase = cursor;
     l.memEnd = mem_bytes;
 
-    // Per-VCPU audit rings live at the very top of kernel memory so the
-    // rest of the map — and with it every allocation address the frame
-    // allocator hands out — is unchanged whether or not batched audit
-    // logging is in use.
-    l.logRingEnd = l.memEnd;
-    l.logRingBase = l.logRingEnd - Gpa(vcpus) * kAuditRingPages * kPageSize;
-
-    // VeilOp submission + completion rings sit just below the audit
-    // rings; carving them from the top keeps every frame-allocator
-    // address identical whether or not batching is enabled.
-    l.opRingEnd = l.logRingBase;
+    // VeilOp submission + completion rings live at the very top of
+    // kernel memory; carving them from the top keeps every address the
+    // bottom-up frame allocator hands out identical whether or not
+    // batching is enabled.
+    l.opRingEnd = l.memEnd;
     l.opRingBase =
         l.opRingEnd - Gpa(vcpus) * (kOpRingPages + kOpCplPages) * kPageSize;
 

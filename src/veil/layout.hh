@@ -15,6 +15,8 @@
  *                   reserved kernel memory
  *   kernel region   everything else: kernel text/data/heap, page
  *                   tables, user memory
+ *   op rings        per-VCPU VeilOp submission + completion rings at
+ *                   the top of memory (reserved kernel memory, §11)
  */
 #ifndef VEIL_VEIL_LAYOUT_HH_
 #define VEIL_VEIL_LAYOUT_HH_
@@ -54,13 +56,10 @@ struct CvmLayout
     snp::Gpa kernelBase = 0; ///< start of DomUNT memory
     snp::Gpa memEnd = 0;
 
-    snp::Gpa logRingBase = 0; ///< per-VCPU audit rings (top of memory,
-                              ///< kernel-owned, §5.2 less-privileged rule)
-    snp::Gpa logRingEnd = 0;  ///< == memEnd
-
     snp::Gpa opRingBase = 0; ///< per-VCPU VeilOp submission+completion
-                             ///< rings (below the audit rings; §11)
-    snp::Gpa opRingEnd = 0;  ///< == logRingBase
+                             ///< rings (top of memory, kernel-owned per
+                             ///< the §5.2 less-privileged rule; §11)
+    snp::Gpa opRingEnd = 0;  ///< == memEnd
 
     uint32_t numVcpus = 0;
 
@@ -70,7 +69,6 @@ struct CvmLayout
     snp::Gpa osMonIdcb(uint32_t vcpu) const;
     snp::Gpa osSrvIdcb(uint32_t vcpu) const;
     snp::Gpa srvMonIdcb(uint32_t vcpu) const;
-    snp::Gpa logRing(uint32_t vcpu) const;
     snp::Gpa opSubRing(uint32_t vcpu) const; ///< VeilOp submission ring
     snp::Gpa opCplRing(uint32_t vcpu) const; ///< VeilOp completion ring
 

@@ -92,8 +92,6 @@ veilOpName(VeilOp op)
         return "log-query";
       case VeilOp::LogStats:
         return "log-stats";
-      case VeilOp::LogAppendBatch:
-        return "log-append-batch";
       case VeilOp::OpRingDoorbell:
         return "op-ring-doorbell";
       case VeilOp::EncSnapshot:

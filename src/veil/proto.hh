@@ -55,15 +55,11 @@ enum class VeilOp : uint32_t {
     LogAppend,       ///< payload = audit record bytes
     LogQuery,        ///< payload = sealed request; ret payload = sealed reply
     LogStats,        ///< ret[0]=record count, ret[1]=bytes used
-    LogAppendBatch,  ///< drain this VCPU's audit ring: args[0] = ring gpa
-                     ///< (must match the layout); ret[0]=appended,
-                     ///< ret[1]=dropped
 
     // ---- VeilOp rings (exit-less batched service calls, §11) ----
     OpRingDoorbell,  ///< drain this VCPU's VeilOp submission ring;
-                     ///< ret[0]=requests drained, ret[1]=completions
-                     ///< posted (< ret[0] when the completion ring
-                     ///< filled; the rest stay queued)
+                     ///< ret[0]=requests drained, one completion each
+                     ///< (a full completion ring leaves the rest queued)
 
     // ---- VeilFleet snapshot/clone (§13) ----
     EncSnapshot,     ///< args[0]=enclave id; seals the enclave image as
@@ -124,25 +120,6 @@ struct IdcbMessage
 
 static_assert(sizeof(IdcbMessage) <= snp::kPageSize,
               "IDCB message must fit in one page");
-
-// ---- Group-commit audit ring (VeilOp::LogAppendBatch, §6.3) ----
-//
-// One single-producer/single-consumer ring per VCPU, placed in
-// kernel-owned (Dom-UNT) pages that Dom-SRV can read, per the §5.2
-// rule that shared blocks live in the less-privileged side's memory.
-// The kernel appends records locally and flushes the whole ring with
-// one IDCB call, amortizing the two domain switches per record that
-// execute-ahead mode pays. Geometry and conventions live in ring.hh,
-// shared with the VeilOp rings.
-
-using AuditRingHeader = RingHeader;
-
-/** GPA of record slot @p idx (taken mod capacity) in a ring page run. */
-inline snp::Gpa
-auditRingSlot(snp::Gpa ring_base, uint64_t idx)
-{
-    return ringSlot(ring_base, kAuditSlotBytes, kAuditRingSlots, idx);
-}
 
 /**
  * Advisory GHCB hint (Ghcb::info[2]) carried by a domain switch. The

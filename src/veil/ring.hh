@@ -1,16 +1,15 @@
 /**
  * @file
- * Shared SPSC ring conventions (DESIGN.md §11). One single-producer /
- * single-consumer ring is a run of guest-physical pages placed in the
- * *less privileged* side's memory (§5.2): slot 0 holds the header,
- * fixed-size record slots follow, head/tail are monotonic indices taken
- * mod capacity, and a full ring makes the producer drop (and count) the
- * record rather than overwrite unconsumed slots.
+ * The VeilOp submission/completion rings (DESIGN.md §11): the one
+ * batched kernel<->service transport. Deferrable service calls (batched
+ * audit records as LogAppend, EncSyncPerms, EncFreePage,
+ * PageStateChange) queue as POD slots and one doorbell drains them.
  *
- * Two ring families use this layout:
- *   - the PR-4 group-commit audit ring (VeilOp::LogAppendBatch, §6.3)
- *   - the VeilOp submission/completion rings (exit-less batched service
- *     calls, §11)
+ * Each SPSC ring is a run of guest-physical pages in the *less
+ * privileged* side's memory (§5.2): slot 0 holds the header, fixed-size
+ * record slots follow, and head/tail are monotonic indices taken mod
+ * capacity. A producer never overwrites an unconsumed slot: a call the
+ * full ring cannot take goes sync instead.
  */
 #ifndef VEIL_VEIL_RING_HH_
 #define VEIL_VEIL_RING_HH_
@@ -22,16 +21,15 @@
 namespace veil::core {
 
 /**
- * Shared ring header (slot 0). The producer owns head/producerDrops,
- * the consumer owns tail; both are monotonic so `head - tail` is the
- * queue depth and wrap-around needs no extra state.
+ * Shared ring header (slot 0). The producer owns head, the consumer
+ * owns tail; both are monotonic so `head - tail` is the queue depth and
+ * wrap-around needs no extra state.
  */
 struct RingHeader
 {
-    uint64_t capacity = 0;      ///< record-slot count (excl. slot 0)
-    uint64_t head = 0;          ///< producer: next index to fill
-    uint64_t tail = 0;          ///< consumer: next index to drain
-    uint64_t producerDrops = 0; ///< dropped ring-full (drop-don't-overwrite)
+    uint64_t capacity = 0; ///< record-slot count (excl. slot 0)
+    uint64_t head = 0;     ///< producer: next index to fill
+    uint64_t tail = 0;     ///< consumer: next index to drain
 };
 
 /** GPA of record slot @p idx (taken mod @p slots) after the header. */
@@ -44,7 +42,7 @@ ringSlot(snp::Gpa ring_base, size_t slot_bytes, uint64_t slots, uint64_t idx)
 /**
  * Consumer-side header sanity check: the producer lives in a less
  * privileged domain, so capacity and index relationships are validated
- * before any slot is touched (the `opAppendBatch` rule).
+ * before any slot is touched.
  */
 inline bool
 ringHeaderValid(const RingHeader &h, uint64_t capacity)
@@ -53,24 +51,14 @@ ringHeaderValid(const RingHeader &h, uint64_t capacity)
            h.head - h.tail <= capacity;
 }
 
-// ---- Group-commit audit ring geometry (§6.3) ----
-
-constexpr size_t kAuditRingPages = 4;    ///< ring size per VCPU
-constexpr size_t kAuditSlotBytes = 256;  ///< per slot, incl. 4-byte length
-constexpr size_t kAuditSlotDataMax = kAuditSlotBytes - 4;
-constexpr uint64_t kAuditRingSlots =
-    kAuditRingPages * snp::kPageSize / kAuditSlotBytes - 1;
-
-static_assert(sizeof(RingHeader) <= kAuditSlotBytes,
-              "ring header must fit in slot 0");
-
-// ---- VeilOp submission/completion ring geometry (§11) ----
+// ---- Geometry ----
 //
 // One submission + one completion ring per VCPU, in kernel-owned pages
-// next to the audit ring. Submission slots carry a full service request
+// at the top of memory. Submission slots carry a full service request
 // (args + a bounded payload); oversized requests fall back to the sync
-// IDCB path at the call site. Completion slots carry status + ret words
-// keyed by the submission sequence number.
+// IDCB path at the call site. Producer and consumer move only the slot
+// header and the payload bytes in use. Completion slots carry status +
+// ret words keyed by the submission sequence number.
 
 constexpr size_t kOpRingPages = 8;
 constexpr size_t kOpSlotBytes = 512;

@@ -84,15 +84,20 @@ ServiceDispatcher::drainOpRing(Vcpu &cpu)
         if (ch.head - ch.tail >= kOpCplSlots)
             break; // completion backpressure: the kernel harvests, re-rings
 
+        // Slot header first, then only the payload bytes it declares
+        // (clamped: the producer is the less-privileged kernel).
+        Gpa sp = ringSlot(sub, kOpSlotBytes, kOpRingSlots, sh.tail);
         VeilOpSlot slot;
-        cpu.readPhys(ringSlot(sub, kOpSlotBytes, kOpRingSlots, sh.tail),
-                     &slot, sizeof(slot));
+        cpu.readPhys(sp, &slot, offsetof(VeilOpSlot, payload));
         IdcbMessage m;
         m.op = slot.op;
         static_assert(sizeof(m.args) == sizeof(slot.args));
         std::memcpy(m.args, slot.args, sizeof(m.args));
         m.payloadLen = std::min<uint32_t>(slot.payloadLen, kOpPayloadMax);
-        std::memcpy(m.payload, slot.payload, m.payloadLen);
+        if (m.payloadLen > 0) {
+            cpu.readPhys(sp + offsetof(VeilOpSlot, payload), m.payload,
+                         m.payloadLen);
+        }
         cpu.burn(kRingOpCycles);
 
         if (static_cast<VeilOp>(m.op) == VeilOp::PageStateChange) {
@@ -123,7 +128,6 @@ ServiceDispatcher::drainOpRing(Vcpu &cpu)
         cpu.writePhys(sub + offsetof(RingHeader, tail), &sh.tail,
                       sizeof(sh.tail));
         ++res.drained;
-        ++res.completions;
         ++ringOps_;
     }
     return res;
@@ -161,7 +165,6 @@ ServiceDispatcher::dispatch(Vcpu &cpu, IdcbMessage &msg)
           break;
       }
       case VeilOp::LogAppend:
-      case VeilOp::LogAppendBatch:
       case VeilOp::LogQuery:
       case VeilOp::LogStats: {
           trace::SpanScope span(machine_.tracer(),
@@ -174,7 +177,6 @@ ServiceDispatcher::dispatch(Vcpu &cpu, IdcbMessage &msg)
                                 trace::Category::RingFlush, msg.op);
           DrainResult res = drainOpRing(cpu);
           msg.ret[0] = res.drained;
-          msg.ret[1] = res.completions;
           msg.status = static_cast<uint64_t>(
               res.ok ? VeilStatus::Ok : VeilStatus::BadArgs);
           break;

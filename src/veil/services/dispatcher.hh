@@ -8,6 +8,7 @@
 #ifndef VEIL_VEIL_SERVICES_DISPATCHER_HH_
 #define VEIL_VEIL_SERVICES_DISPATCHER_HH_
 
+#include "base/stat_counter.hh"
 #include "veil/services/enc.hh"
 #include "veil/services/kci.hh"
 #include "veil/services/log.hh"
@@ -36,9 +37,8 @@ class ServiceDispatcher
     /** One drainOpRing pass over a VCPU's submission ring. */
     struct DrainResult
     {
-        uint64_t drained = 0;     ///< ops consumed this pass
-        uint64_t completions = 0; ///< completions posted this pass
-        bool ok = true;           ///< false: malformed ring header
+        uint64_t drained = 0; ///< ops consumed (one completion each)
+        bool ok = true;       ///< false: malformed ring header
     };
 
     void srvLoop(snp::Vcpu &cpu);
@@ -50,8 +50,9 @@ class ServiceDispatcher
     KciService kci_;
     EncService enc_;
     LogService log_;
-    uint64_t served_ = 0;
-    uint64_t ringOps_ = 0;
+    // Bumped by every VCPU's service loop (multicore: concurrently).
+    base::StatCounter served_;
+    base::StatCounter ringOps_;
 };
 
 } // namespace veil::core

@@ -35,6 +35,9 @@ EncService::EncService(Machine &machine, const CvmLayout &layout,
           [this](Gpa p) { freeSrvFrame(p); }),
       nextSrvFrame_(layout.srvHeap)
 {
+    // The OS page tables VeilS-ENC scans are read with Dom-SRV's own
+    // private accesses: a table page the host flipped faults here.
+    srvEditor_.guard(machine.rmp(), Vmpl::Vmpl1);
 }
 
 Gpa

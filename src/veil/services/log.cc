@@ -28,9 +28,6 @@ LogService::handle(Vcpu &cpu, IdcbMessage &msg)
       case VeilOp::LogAppend:
         opAppend(cpu, msg);
         break;
-      case VeilOp::LogAppendBatch:
-        opAppendBatch(cpu, msg);
-        break;
       case VeilOp::LogQuery:
         opQuery(cpu, msg);
         break;
@@ -62,64 +59,6 @@ LogService::opAppend(Vcpu &cpu, IdcbMessage &msg)
     cpu.writePhys(head_ + 4, msg.payload, len);
     head_ += 4 + len;
     ++records_;
-    msg.status = static_cast<uint64_t>(VeilStatus::Ok);
-}
-
-void
-LogService::opAppendBatch(Vcpu &cpu, IdcbMessage &msg)
-{
-    // The requesting VCPU's ring location comes from the trusted layout;
-    // the hint in args[0] only cross-checks that the kernel and service
-    // agree on the map. Everything inside the ring is untrusted input.
-    Gpa ring = layout_.logRing(cpu.vcpuId());
-    if (msg.args[0] != ring) {
-        msg.status = static_cast<uint64_t>(VeilStatus::BadArgs);
-        return;
-    }
-
-    AuditRingHeader h;
-    cpu.readPhys(ring, &h, sizeof(h));
-    if (!ringHeaderValid(h, kAuditRingSlots)) {
-        msg.status = static_cast<uint64_t>(VeilStatus::BadArgs);
-        return;
-    }
-
-    uint64_t appended = 0;
-    uint64_t dropped = 0;
-    uint8_t buf[kAuditSlotBytes];
-    for (uint64_t i = h.tail; i < h.head; ++i) {
-        Gpa slot = auditRingSlot(ring, i);
-        uint32_t len;
-        cpu.readPhys(slot, &len, sizeof(len));
-        if (len == 0 || len > kAuditSlotDataMax) {
-            // Malformed slot from the untrusted producer: per-record
-            // drop accounting, same as a malformed single append.
-            ++drops_;
-            ++dropped;
-            continue;
-        }
-        if (head_ + 4 + len > end_) {
-            ++drops_;
-            ++dropped;
-            continue;
-        }
-        cpu.readPhys(slot + sizeof(len), buf, len);
-        cpu.writePhys(head_, &len, sizeof(len));
-        cpu.writePhys(head_ + 4, buf, len);
-        head_ += 4 + len;
-        ++records_;
-        ++appended;
-    }
-
-    // Consume the batch: advance the shared tail to the drained head.
-    h.tail = h.head;
-    cpu.writePhys(ring + offsetof(AuditRingHeader, tail), &h.tail,
-                  sizeof(h.tail));
-
-    ++batchFlushes_;
-    batchedRecords_ += appended;
-    msg.ret[0] = appended;
-    msg.ret[1] = dropped;
     msg.status = static_cast<uint64_t>(VeilStatus::Ok);
 }
 

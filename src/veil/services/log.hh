@@ -39,15 +39,12 @@ class LogService
     uint64_t recordCount() const { return records_; }
     uint64_t bytesUsed() const { return head_ - base_; }
     uint64_t droppedRecords() const { return drops_; }
-    uint64_t batchFlushes() const { return batchFlushes_; }
-    uint64_t batchedRecords() const { return batchedRecords_; }
 
     /** Host-side test helper: decode all stored records. */
     std::vector<std::string> snapshotRecords() const;
 
   private:
     void opAppend(snp::Vcpu &cpu, IdcbMessage &msg);
-    void opAppendBatch(snp::Vcpu &cpu, IdcbMessage &msg);
     void opQuery(snp::Vcpu &cpu, IdcbMessage &msg);
     void opStats(snp::Vcpu &cpu, IdcbMessage &msg);
 
@@ -60,8 +57,6 @@ class LogService
     snp::Gpa readPos_;  ///< retrieval cursor
     uint64_t records_ = 0;
     uint64_t drops_ = 0;
-    uint64_t batchFlushes_ = 0;   ///< LogAppendBatch calls handled
-    uint64_t batchedRecords_ = 0; ///< records ingested through batches
 };
 
 } // namespace veil::core

@@ -1,12 +1,12 @@
 /**
  * @file
- * Group-commit audit logging tests (DESIGN.md §9): per-VCPU shared
- * ring behavior under the VeilLogBatched backend — wrap-around,
- * overflow drop-don't-overwrite accounting, all three drain barriers
- * (LogQuery, enclave entry, orderly exit), deadline flushes, record
- * truncation counting, interrupt-redirect resumes while records are
- * queued, and record-stream equality against the execute-ahead
- * (VeilLog) backend.
+ * Batched audit logging tests (DESIGN.md §11): under the VeilLogBatched
+ * backend every record queues as a LogAppend slot on the per-VCPU VeilOp
+ * ring — wrap-around, in-session overflow (sync fallback: no record
+ * lost or overwritten), all three drain barriers (LogQuery, enclave
+ * entry, orderly exit), deadline flushes, record truncation counting,
+ * interrupt-redirect resumes, and record-stream equality against the
+ * execute-ahead (VeilLog) backend.
  */
 #include <gtest/gtest.h>
 
@@ -37,8 +37,8 @@ auditConfig(AuditBackend backend, uint32_t batch = 32,
     cfg.logBytes = 128 * 1024;
     cfg.kernel.auditBackend = backend;
     cfg.kernel.auditRules = priorWorkAuditRuleset();
-    cfg.kernel.auditBatchSize = batch;
-    cfg.kernel.auditFlushDeadlineCycles = deadline_cycles;
+    cfg.kernel.opBatchSize = batch;
+    cfg.kernel.opFlushDeadlineCycles = deadline_cycles;
     return cfg;
 }
 
@@ -81,6 +81,7 @@ TEST(AuditBatch, WrapAroundPreservesRecordStream)
     const KernelStats &s = vm.kernel().stats();
     EXPECT_EQ(s.auditRecords, 200u);
     EXPECT_EQ(s.auditRingDrops, 0u);
+    EXPECT_EQ(s.opSyncFallbacks, 0u);
     EXPECT_GE(s.auditBatchFlushes, 200u / 16u);
     EXPECT_EQ(s.auditFlushedRecords, 200u);
 
@@ -95,7 +96,7 @@ TEST(AuditBatch, BatchedMatchesExecuteAheadRecordStream)
 {
     // The same workload under VeilLog (execute-ahead, one IDCB call per
     // record) and VeilLogBatched must protect an identical record
-    // stream — group commit changes when records travel, not what.
+    // stream — batching changes when records travel, not what.
     auto workload = [](Kernel &k, Process &p) {
         NativeEnv env(k, p);
         int fd = int(env.creat("/stream.bin"));
@@ -124,66 +125,66 @@ TEST(AuditBatch, BatchedMatchesExecuteAheadRecordStream)
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(normalized(a[i]), normalized(b[i])) << "record " << i;
     EXPECT_EQ(batched.kernel().stats().auditRingDrops, 0u);
-    // Group commit must actually batch: far fewer flushes than records.
+    // The ring must actually batch: far fewer doorbells than records.
     EXPECT_LT(batched.kernel().stats().auditBatchFlushes, a.size() / 2);
 }
 
-TEST(AuditBatch, OverflowDropsAreCountedAndNeverOverwrite)
+TEST(AuditBatch, InSessionOverflowLosesNoRecordAndOverwritesNone)
 {
-    // Inside an enclave ocall session the flush is suppressed (the
-    // session holds the enclave GHCB/cr3), so a ring-filling burst must
-    // drop the *newest* records — never overwrite queued ones — and
-    // count every drop in both kernel stats and the shared header.
-    VeilVm vm(auditConfig(AuditBackend::VeilLogBatched, /*batch=*/32));
+    // Inside an enclave ocall session nothing may queue (the session
+    // holds the enclave GHCB/cr3, so no doorbell can drain the ring).
+    // A burst larger than the ring must therefore take the sync
+    // LogAppend record by record: nothing dropped, nothing overwritten,
+    // and the records queued before the session land first.
+    VeilVm vm(auditConfig(AuditBackend::VeilLogBatched,
+                          /*batch=*/uint32_t(core::kOpRingSlots)));
     constexpr uint64_t kBurst = 80; // > 63-slot ring capacity
-    uint64_t seq_base = 0, session_drops = 0, session_pending = 0;
+    uint64_t pre_session = 0, fallbacks_before = 0, fallbacks_after = 0;
+    uint64_t pending_in_session = 0;
     auto result = vm.run([&](Kernel &k, Process &p) {
         NativeEnv env(k, p);
         EnclaveHost host(env, vm.programs());
-        ASSERT_TRUE(host.create([](Env &e) -> int64_t {
+        ASSERT_TRUE(host.create([&](Env &e) -> int64_t {
             for (uint64_t i = 0; i < kBurst; ++i)
-                e.close(999); // each an audited ocall, flush suppressed
+                e.close(999); // each an audited ocall
+            pending_in_session = k.opRingPending(0);
             return 0;
         }));
-        seq_base = k.stats().auditRecords; // pre-session records
+        for (int i = 0; i < 10; ++i)
+            env.close(999); // queued; the entry barrier drains them
+        pre_session = k.stats().auditRecords;
+        EXPECT_EQ(k.opRingPending(0), 10u);
+        fallbacks_before = k.stats().opSyncFallbacks;
         ASSERT_EQ(host.call(), 0);
-        session_drops = k.stats().auditRingDrops;
-        session_pending = k.auditRingPending(0);
+        fallbacks_after = k.stats().opSyncFallbacks;
     });
     ASSERT_TRUE(result.terminated);
+    EXPECT_EQ(pending_in_session, 0u);
+    EXPECT_EQ(fallbacks_after - fallbacks_before, kBurst);
 
-    constexpr uint64_t kDropped = kBurst - core::kAuditRingSlots;
-    EXPECT_EQ(session_drops, kDropped);
-    EXPECT_EQ(session_pending, core::kAuditRingSlots);
-
-    // The stored stream ends at the last record that *fit*; the
-    // dropped tail never appears (terminate drained the ring).
+    const KernelStats &s = vm.kernel().stats();
+    EXPECT_EQ(s.auditRingDrops, 0u);
+    EXPECT_EQ(s.auditRecords, pre_session + kBurst);
     auto records = vm.services().log().snapshotRecords();
-    ASSERT_EQ(records.size(), seq_base + core::kAuditRingSlots);
-    EXPECT_NE(records.back().find(seqMarker(seq_base + core::kAuditRingSlots)),
-              std::string::npos);
-    for (const auto &r : records)
-        EXPECT_EQ(r.find(seqMarker(seq_base + core::kAuditRingSlots + 1)),
-                  std::string::npos)
-            << "dropped record resurfaced: " << r;
+    ASSERT_EQ(records.size(), s.auditRecords);
+    for (uint64_t i = 0; i < records.size(); ++i)
+        EXPECT_NE(records[i].find(seqMarker(i + 1)), std::string::npos)
+            << "record " << i << " lost or out of order: " << records[i];
 
-    // The shared header in guest memory agrees: drops published for the
-    // verifier, and the consumer fully drained the ring (tail == head).
-    Gpa ring = vm.layout().logRing(0);
-    core::AuditRingHeader h{};
-    vm.machine().memory().read(ring, &h, sizeof(h));
-    EXPECT_EQ(h.capacity, core::kAuditRingSlots);
-    EXPECT_EQ(h.producerDrops, kDropped);
+    // The consumer drained every slot the producer published.
+    core::RingHeader h{};
+    vm.machine().memory().read(vm.layout().opSubRing(0), &h, sizeof(h));
+    EXPECT_EQ(h.capacity, core::kOpRingSlots);
     EXPECT_EQ(h.tail, h.head);
 }
 
 TEST(AuditBatch, LogQueryBarrierDrainsPendingRecords)
 {
     // A remote LogQuery must observe every record produced so far,
-    // including those still queued in the ring: the kernel drains on
-    // the way into the LogQuery service call.
+    // including those still queued in the ring: the kernel drains the
+    // op ring on the way into any sync service call, LogQuery included.
     VeilVm vm(auditConfig(AuditBackend::VeilLogBatched,
-                          /*batch=*/uint32_t(core::kAuditRingSlots)));
+                          /*batch=*/uint32_t(core::kOpRingSlots)));
     RemoteUser user(vm);
     std::vector<std::string> retrieved;
     uint64_t pending_before = 0, pending_after = 0;
@@ -192,9 +193,9 @@ TEST(AuditBatch, LogQueryBarrierDrainsPendingRecords)
         NativeEnv env(k, p);
         for (int i = 0; i < 10; ++i)
             env.close(999);
-        pending_before = k.auditRingPending(0);
+        pending_before = k.opRingPending(0);
         retrieved = user.retrieveAllRecords(k);
-        pending_after = k.auditRingPending(0);
+        pending_after = k.opRingPending(0);
     });
     ASSERT_TRUE(result.terminated);
     EXPECT_EQ(pending_before, 10u);
@@ -202,7 +203,7 @@ TEST(AuditBatch, LogQueryBarrierDrainsPendingRecords)
     ASSERT_EQ(retrieved.size(), 10u);
     for (uint64_t i = 0; i < 10; ++i)
         EXPECT_NE(retrieved[i].find(seqMarker(i + 1)), std::string::npos);
-    EXPECT_GE(vm.kernel().stats().auditFlushBarrier, 1u);
+    EXPECT_GE(vm.kernel().stats().opFlushBarrier, 1u);
 }
 
 TEST(AuditBatch, OrderlyExitDrainsRing)
@@ -210,16 +211,16 @@ TEST(AuditBatch, OrderlyExitDrainsRing)
     // Records still queued when the workload finishes are drained by
     // the terminate barrier: the loss window covers crashes only.
     VeilVm vm(auditConfig(AuditBackend::VeilLogBatched,
-                          /*batch=*/uint32_t(core::kAuditRingSlots)));
+                          /*batch=*/uint32_t(core::kOpRingSlots)));
     auto result = vm.run([&](Kernel &k, Process &p) {
         NativeEnv env(k, p);
         for (int i = 0; i < 5; ++i)
             env.close(999);
-        EXPECT_EQ(k.auditRingPending(0), 5u);
+        EXPECT_EQ(k.opRingPending(0), 5u);
     });
     ASSERT_TRUE(result.terminated);
     EXPECT_EQ(vm.services().log().recordCount(), 5u);
-    EXPECT_GE(vm.kernel().stats().auditFlushBarrier, 1u);
+    EXPECT_GE(vm.kernel().stats().opFlushBarrier, 1u);
     EXPECT_EQ(vm.kernel().stats().auditFlushedRecords, 5u);
 }
 
@@ -228,20 +229,20 @@ TEST(AuditBatch, EnclaveEntryBarrierDrainsRing)
     // Entering a (mutually distrusting) enclave drains the ring first:
     // pre-enclave records are protected before control transfers.
     VeilVm vm(auditConfig(AuditBackend::VeilLogBatched,
-                          /*batch=*/uint32_t(core::kAuditRingSlots)));
+                          /*batch=*/uint32_t(core::kOpRingSlots)));
     auto result = vm.run([&](Kernel &k, Process &p) {
         NativeEnv env(k, p);
-        for (int i = 0; i < 7; ++i)
-            env.close(999);
-        EXPECT_GE(k.auditRingPending(0), 7u);
-        uint64_t stored_before = vm.services().log().recordCount();
-        EXPECT_EQ(stored_before, 0u);
         EnclaveHost host(env, vm.programs());
         ASSERT_TRUE(host.create([](Env &) -> int64_t { return 0; }));
+        uint64_t stored_before = vm.services().log().recordCount();
+        for (int i = 0; i < 7; ++i)
+            env.close(999);
+        EXPECT_EQ(k.opRingPending(0), 7u);
+        EXPECT_EQ(vm.services().log().recordCount(), stored_before);
         ASSERT_EQ(host.call(), 0); // prepEnclaveRun barrier fires here
-        EXPECT_EQ(k.auditRingPending(0), 0u);
-        EXPECT_GE(vm.services().log().recordCount(), 7u);
-        EXPECT_GE(k.stats().auditFlushBarrier, 1u);
+        EXPECT_EQ(k.opRingPending(0), 0u);
+        EXPECT_EQ(vm.services().log().recordCount(), stored_before + 7);
+        EXPECT_GE(k.stats().opFlushBarrier, 1u);
     });
     ASSERT_TRUE(result.terminated);
 }
@@ -251,17 +252,17 @@ TEST(AuditBatch, DeadlineFlushBoundsResidencyWindow)
     // With a small deadline, queued records are flushed from the timer
     // interrupt path long before the batch-size trigger would fire.
     VeilVm vm(auditConfig(AuditBackend::VeilLogBatched,
-                          /*batch=*/uint32_t(core::kAuditRingSlots),
+                          /*batch=*/uint32_t(core::kOpRingSlots),
                           /*deadline_cycles=*/100'000));
     auto result = vm.run([&](Kernel &k, Process &p) {
         NativeEnv env(k, p);
         for (int i = 0; i < 3; ++i)
             env.close(999);
-        EXPECT_EQ(k.auditRingPending(0), 3u);
+        EXPECT_EQ(k.opRingPending(0), 3u);
         // Idle compute long enough for at least two timer ticks.
         k.cpu().burn(3 * vm.machine().costs().timerQuantum());
-        EXPECT_EQ(k.auditRingPending(0), 0u);
-        EXPECT_GE(k.stats().auditFlushDeadline, 1u);
+        EXPECT_EQ(k.opRingPending(0), 0u);
+        EXPECT_GE(k.stats().opFlushDeadline, 1u);
     });
     ASSERT_TRUE(result.terminated);
     EXPECT_EQ(vm.services().log().recordCount(), 3u);
@@ -287,27 +288,34 @@ TEST(AuditBatch, TruncationIsCountedExecuteAhead)
 
 TEST(AuditBatch, TruncationIsCountedBatched)
 {
-    // Ring slots are smaller than the IDCB payload, so batched mode
-    // truncates earlier — same accounting, tighter clamp.
+    // A record too big for a ring slot takes the sync LogAppend, so it
+    // keeps the full IDCB payload: one over the slot payload arrives
+    // whole, and only one over the IDCB payload is clamped (and
+    // counted), exactly as execute-ahead does.
     VeilVm vm(auditConfig(AuditBackend::VeilLogBatched));
     auto result = vm.run([&](Kernel &k, Process &) {
-        Process &noisy = k.makeProcess(std::string(400, 'c'));
-        NativeEnv env(k, noisy);
-        env.close(999);
-        EXPECT_GE(k.stats().auditTruncations, 1u);
+        Process &wide = k.makeProcess(std::string(400, 'c'));
+        NativeEnv(k, wide).close(999);
+        EXPECT_EQ(k.stats().auditTruncations, 0u);
+        Process &noisy = k.makeProcess(std::string(3000, 'c'));
+        NativeEnv(k, noisy).close(999);
+        EXPECT_EQ(k.stats().auditTruncations, 1u);
+        EXPECT_EQ(k.stats().opSyncFallbacks, 2u);
     });
     ASSERT_TRUE(result.terminated);
     auto records = vm.services().log().snapshotRecords();
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].size(), core::kAuditSlotDataMax);
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_GT(records[0].size(), core::kOpPayloadMax);
+    EXPECT_NE(records[0].find(std::string(400, 'c')), std::string::npos);
+    EXPECT_EQ(records[1].size(), core::kIdcbPayloadMax);
 }
 
 TEST(AuditBatch, InterruptRedirectResumeKeepsStreamIntact)
 {
     // Timer interrupts during enclave execution are redirected to
-    // DomUNT (§6.2); the timer flush hook runs on those resumes while
-    // records are queued and a flush is forbidden (ocall context). The
-    // suppressed flush must not corrupt or lose anything.
+    // DomUNT (§6.2); the timer flush hook runs on those resumes while a
+    // flush is forbidden (ocall context) and in-session records go
+    // sync. The suppressed flush must not corrupt or lose anything.
     uint64_t quantum = 0;
     VeilVm vm(auditConfig(AuditBackend::VeilLogBatched, /*batch=*/8,
                           /*deadline_cycles=*/50'000));
@@ -319,7 +327,7 @@ TEST(AuditBatch, InterruptRedirectResumeKeepsStreamIntact)
         EnclaveHost host(env, vm.programs());
         ASSERT_TRUE(host.create([quantum](Env &e) -> int64_t {
             for (int i = 0; i < 10; ++i)
-                e.close(999); // queue records inside the session
+                e.close(999); // records inside the session
             e.burn(3 * quantum); // force redirected timer interrupts
             for (int i = 0; i < 10; ++i)
                 e.close(999);
@@ -333,7 +341,7 @@ TEST(AuditBatch, InterruptRedirectResumeKeepsStreamIntact)
     EXPECT_GT(vm.hypervisor().stats().intrRedirects, 0u);
 
     const KernelStats &s = vm.kernel().stats();
-    EXPECT_EQ(s.auditRingDrops, 0u); // 20 in-session records < capacity
+    EXPECT_EQ(s.auditRingDrops, 0u);
     auto records = vm.services().log().snapshotRecords();
     ASSERT_EQ(records.size(), s.auditRecords);
     for (uint64_t i = 0; i < records.size(); ++i)

@@ -1,36 +1,24 @@
 /**
  * @file
  * VeilChaos soak and directed fault tests (DESIGN.md §10). A seeded
- * sweep runs the full CVM stack under the canonical fault mixture —
- * dropped/duplicated/delayed relays, denied/misrouted switches, GHCB
- * tampering, spurious interrupts, hostile RMP flips — and asserts the
- * resilience invariants:
- *
- *  1. Progress or attributed halt: every run either terminates in
- *     order or halts with a recorded reason; the exit-cap livelock
- *     detector never fires.
- *  2. Gap-accounted audit stream: stored + store-drops + ring-drops +
- *     pending always reconciles against records produced, and stored
- *     sequence numbers are strictly increasing.
- *  3. No host plaintext exposure: neither a planted secret nor audit
- *     record text ever appears in a hypervisor-shared page.
- *  4. Determinism: the same seed replays to identical outcomes.
+ * sweep runs the shared soak scenario (sdk/chaos_soak.hh, also driven
+ * by bench_chaos) under the canonical fault mixture — dropped /
+ * duplicated / delayed relays, denied/misrouted switches, GHCB
+ * tampering, spurious interrupts, hostile RMP flips — and asserts its
+ * resilience invariants (progress or attributed halt, gap-accounted
+ * audit stream, no host plaintext exposure) plus same-seed replay.
  *
  * Directed tests then pin each recovery path (and its budget-exhaustion
  * halt) individually. CHAOS_SOAK_SEEDS overrides the sweep width.
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "base/log.hh"
 #include "chaos/chaos.hh"
-#include "sdk/remote.hh"
-#include "sdk/vm.hh"
+#include "sdk/chaos_soak.hh"
 
 namespace veil {
 namespace {
@@ -39,194 +27,11 @@ using namespace sdk;
 using namespace snp;
 using namespace kern;
 
-/// Planted in private process memory; must never surface in a shared page.
-constexpr char kSecret[] = "VEIL-SOAK-SECRET-c9b2f4e8a1d7";
-
-VmConfig
-soakConfig()
-{
-    LogConfig::setThreshold(LogLevel::Silent);
-    // The hugepage arm sets MachineConfig::hugePages itself; drop the
-    // A/B env escape so both arms are deterministic.
-    unsetenv("VEIL_HUGEPAGES");
-    VmConfig cfg;
-    cfg.machine.memBytes = 32 * 1024 * 1024;
-    cfg.machine.numVcpus = 1;
-    cfg.logBytes = 128 * 1024;
-    cfg.kernel.auditBackend = AuditBackend::VeilLogBatched;
-    cfg.kernel.auditRules = priorWorkAuditRuleset();
-    cfg.kernel.auditBatchSize = 8;
-    cfg.kernel.auditFlushDeadlineCycles = 200'000;
-    return cfg;
-}
-
-/** Sequence number embedded in "msg=audit(SS.MMM:seq):". */
-uint64_t
-recordSeq(const std::string &rec)
-{
-    size_t open = rec.find("audit(");
-    size_t colon = rec.find(':', open);
-    if (open == std::string::npos || colon == std::string::npos)
-        return 0;
-    return strtoull(rec.c_str() + colon + 1, nullptr, 10);
-}
-
-/** Does any hypervisor-shared page contain @p needle? */
-bool
-sharedPagesContain(VeilVm &vm, const void *needle, size_t n)
-{
-    const uint8_t *pat = static_cast<const uint8_t *>(needle);
-    const size_t mem = vm.config().machine.memBytes;
-    std::vector<uint8_t> page(kPageSize);
-    for (Gpa p = 0; p < mem; p += kPageSize) {
-        if (!vm.machine().rmp().isShared(p))
-            continue;
-        vm.machine().memory().read(p, page.data(), kPageSize);
-        if (std::search(page.begin(), page.end(), pat, pat + n) !=
-            page.end())
-            return true;
-    }
-    return false;
-}
-
-/** Everything one seeded run produces, for invariant checks. */
-struct SoakOutcome
-{
-    hv::Hypervisor::RunResult run;
-    std::string haltReason;
-    chaos::FaultStats faults;
-    uint64_t produced = 0;   ///< kernel audit records emitted
-    uint64_t stored = 0;     ///< records protected by VeilS-LOG
-    uint64_t storeDrops = 0; ///< dropped by the service (store full)
-    uint64_t ringDrops = 0;  ///< dropped at the producer ring
-    uint64_t pending = 0;    ///< still queued in the ring at the end
-    uint64_t finalTsc = 0;
-    uint64_t guestRetries = 0; ///< all bounded-recovery counters summed
-    int64_t enclaveRet = -1;
-    bool createFailed = false;
-    bool secretLeaked = false;
-    bool auditLeaked = false;
-    std::vector<std::string> records;
-};
-
-SoakOutcome
-runSeed(uint64_t seed, bool huge_pages = false)
-{
-    VmConfig cfg = soakConfig();
-    if (huge_pages) {
-        // Hugepage arm: boot over promoted 2 MiB RMP entries with
-        // batched lazy acceptance, then let the fault mixture force
-        // runtime smashes (shared flips, RMP flips) mid-region.
-        cfg.machine.hugePages = true;
-        cfg.lazyAccept = true;
-    }
-    // Even seeds run the §11 exit-less op ring under the same fault
-    // mixture: execute-ahead audit records queue in the VeilOp ring and
-    // ride doorbells, exposing the DoorbellDrop/Duplicate sites.
-    if (seed % 2 == 0) {
-        cfg.kernel.auditBackend = AuditBackend::VeilLog;
-        cfg.kernel.serviceBatching = true;
-        cfg.kernel.opBatchSize = 8;
-        cfg.kernel.opFlushDeadlineCycles = 200'000;
-    }
-    VeilVm vm(cfg);
-    chaos::FaultPlan plan = chaos::FaultPlan::forSeed(seed);
-    // RMP flips target DomUNT memory but spare the audit and VeilOp
-    // rings (directed ring-flip tests cover those) so flipped seeds
-    // still exercise the accounting invariant instead of halting
-    // instantly.
-    plan.rmpFlipLo = vm.layout().kernelBase;
-    plan.rmpFlipHi = vm.layout().opRingBase;
-    chaos::FaultInjector inj(plan);
-    vm.hypervisor().setFaultInjector(&inj);
-    vm.hypervisor().setExitCap(200'000);
-    const uint64_t quantum = vm.machine().costs().timerQuantum();
-
-    SoakOutcome out;
-    out.run = vm.run([&](Kernel &k, Process &p) {
-        NativeEnv env(k, p);
-        Gva hideout = env.alloc(4096);
-        env.copyIn(hideout, kSecret, sizeof(kSecret));
-        // Audited file + socket traffic feeding the batched log.
-        int fd = int(env.creat("/soak.bin"));
-        Gva buf = env.alloc(4096);
-        for (int i = 0; i < 8; ++i)
-            env.write(fd, buf, 64 + 8 * i);
-        env.close(fd);
-        for (int i = 0; i < 8; ++i)
-            env.close(999);
-        // An enclave session: exercises restricted-GHCB switches,
-        // interrupt redirects, and in-session (suppressed-flush) audit.
-        EnclaveHost host(env, vm.programs());
-        if (!host.create([quantum](Env &e) -> int64_t {
-                for (int i = 0; i < 4; ++i)
-                    e.close(999);
-                e.burn(2 * quantum + 123);
-                return 7;
-            })) {
-            out.createFailed = true;
-            return;
-        }
-        out.enclaveRet = host.call();
-        for (int i = 0; i < 4; ++i)
-            env.close(999);
-    });
-
-    out.haltReason = vm.machine().haltInfo().reason;
-    out.faults = inj.stats();
-    const KernelStats &s = vm.kernel().stats();
-    out.produced = s.auditRecords;
-    out.stored = vm.services().log().recordCount();
-    out.storeDrops = vm.services().log().droppedRecords();
-    out.ringDrops = s.auditRingDrops;
-    out.pending = vm.kernel().auditRingPending(0);
-    out.finalTsc = vm.machine().tsc();
-    const MachineStats &m = vm.machine().stats();
-    out.guestRetries = m.hypercallRetries + m.switchRetries +
-                       m.switchDeniedRetries + m.idcbResends;
-    out.records = vm.services().log().snapshotRecords();
-    out.secretLeaked = sharedPagesContain(vm, kSecret, sizeof(kSecret) - 1);
-    out.auditLeaked = sharedPagesContain(vm, "msg=audit(", 10);
-    return out;
-}
-
 void
 checkInvariants(uint64_t seed, const SoakOutcome &r)
 {
-    // 1. Progress or attributed halt — never livelock, never a silent
-    //    third state.
-    EXPECT_FALSE(r.run.exitCapHit) << "seed " << seed << ": livelock";
-    EXPECT_TRUE(r.run.terminated || r.run.halted)
-        << "seed " << seed << ": neither terminated nor halted";
-    if (r.run.halted) {
-        EXPECT_FALSE(r.haltReason.empty())
-            << "seed " << seed << ": halt without attributed reason";
-    }
-    if (r.run.terminated) {
-        EXPECT_FALSE(r.createFailed) << "seed " << seed;
-        EXPECT_EQ(r.enclaveRet, 7) << "seed " << seed;
-    }
-
-    // 2. Gap-accounted audit stream: every produced record is stored,
-    //    counted as dropped, or still pending — exactly, on orderly
-    //    exit; with no invented records ever, on a halt.
-    uint64_t accounted =
-        r.stored + r.storeDrops + r.ringDrops + r.pending;
-    if (r.run.terminated)
-        EXPECT_EQ(accounted, r.produced) << "seed " << seed;
-    else
-        EXPECT_LE(r.stored + r.storeDrops, r.produced) << "seed " << seed;
-    uint64_t last = 0;
-    for (const auto &rec : r.records) {
-        uint64_t seq = recordSeq(rec);
-        EXPECT_GT(seq, last)
-            << "seed " << seed << ": non-monotonic record: " << rec;
-        last = seq;
-    }
-
-    // 3. Confidentiality: nothing secret in host-visible memory.
-    EXPECT_FALSE(r.secretLeaked) << "seed " << seed;
-    EXPECT_FALSE(r.auditLeaked) << "seed " << seed;
+    for (const std::string &v : soakViolations(r))
+        ADD_FAILURE() << "seed " << seed << ": " << v;
 }
 
 TEST(ChaosSoak, SeedSweepHoldsInvariants)
@@ -240,7 +45,7 @@ TEST(ChaosSoak, SeedSweepHoldsInvariants)
 
     uint64_t terminated = 0, halted = 0, injections = 0, retries = 0;
     for (uint64_t seed = 1; seed <= seeds; ++seed) {
-        SoakOutcome r = runSeed(seed);
+        SoakOutcome r = runSoakSeed(seed);
         checkInvariants(seed, r);
         terminated += r.run.terminated;
         halted += r.run.halted;
@@ -268,7 +73,7 @@ TEST(ChaosSoak, HugePageArmHoldsInvariantsAndReplays)
     // nothing, and keep the audit accounting identity.
     uint64_t terminated = 0;
     for (uint64_t seed = 1; seed <= 16; ++seed) {
-        SoakOutcome r = runSeed(seed, /*huge_pages=*/true);
+        SoakOutcome r = runSoakSeed(seed, /*huge_pages=*/true);
         checkInvariants(seed, r);
         if (r.run.terminated)
             ++terminated;
@@ -276,8 +81,8 @@ TEST(ChaosSoak, HugePageArmHoldsInvariantsAndReplays)
     EXPECT_GT(terminated, 0u);
 
     // Same-seed replay stays bit-identical with smashes in the mix.
-    SoakOutcome a = runSeed(5, /*huge_pages=*/true);
-    SoakOutcome b = runSeed(5, /*huge_pages=*/true);
+    SoakOutcome a = runSoakSeed(5, /*huge_pages=*/true);
+    SoakOutcome b = runSoakSeed(5, /*huge_pages=*/true);
     EXPECT_EQ(a.run.terminated, b.run.terminated);
     EXPECT_EQ(a.run.halted, b.run.halted);
     EXPECT_EQ(a.haltReason, b.haltReason);
@@ -293,8 +98,8 @@ TEST(ChaosSoak, HugePageArmHoldsInvariantsAndReplays)
 
 TEST(ChaosSoak, SameSeedReplaysIdentically)
 {
-    SoakOutcome a = runSeed(3);
-    SoakOutcome b = runSeed(3);
+    SoakOutcome a = runSoakSeed(3);
+    SoakOutcome b = runSoakSeed(3);
     EXPECT_EQ(a.run.terminated, b.run.terminated);
     EXPECT_EQ(a.run.halted, b.run.halted);
     EXPECT_EQ(a.haltReason, b.haltReason);
@@ -310,42 +115,6 @@ TEST(ChaosSoak, SameSeedReplaysIdentically)
 
 // ---- Directed recovery-path tests ----
 
-/** Run a plain (no enclave) audited workload under @p plan. */
-SoakOutcome
-runDirected(const chaos::FaultPlan &plan, uint64_t exit_cap = 200'000)
-{
-    VeilVm vm(soakConfig());
-    chaos::FaultInjector inj(plan);
-    vm.hypervisor().setFaultInjector(&inj);
-    vm.hypervisor().setExitCap(exit_cap);
-
-    SoakOutcome out;
-    out.run = vm.run([&](Kernel &k, Process &p) {
-        NativeEnv env(k, p);
-        int fd = int(env.creat("/d.bin"));
-        Gva buf = env.alloc(4096);
-        for (int i = 0; i < 6; ++i)
-            env.write(fd, buf, 100);
-        env.close(fd);
-        for (int i = 0; i < 10; ++i)
-            env.close(999);
-    });
-    out.haltReason = vm.machine().haltInfo().reason;
-    out.faults = inj.stats();
-    const KernelStats &s = vm.kernel().stats();
-    out.produced = s.auditRecords;
-    out.stored = vm.services().log().recordCount();
-    out.storeDrops = vm.services().log().droppedRecords();
-    out.ringDrops = s.auditRingDrops;
-    out.pending = vm.kernel().auditRingPending(0);
-    const MachineStats &m = vm.machine().stats();
-    out.guestRetries = m.hypercallRetries + m.switchRetries +
-                       m.switchDeniedRetries + m.idcbResends;
-    out.records = vm.services().log().snapshotRecords();
-    out.auditLeaked = sharedPagesContain(vm, "msg=audit(", 10);
-    return out;
-}
-
 TEST(ChaosDirected, BudgetedRelayDropsAbsorbedByRetry)
 {
     // A handful of swallowed relays is recovered by the sentinel-armed
@@ -356,7 +125,7 @@ TEST(ChaosDirected, BudgetedRelayDropsAbsorbedByRetry)
     EXPECT_TRUE(r.run.terminated) << r.haltReason;
     EXPECT_GE(r.faults.injected[size_t(chaos::FaultSite::RelayDrop)], 1u);
     EXPECT_GE(r.guestRetries, 1u);
-    EXPECT_EQ(r.stored + r.storeDrops + r.ringDrops + r.pending, r.produced);
+    EXPECT_EQ(r.accounted(), r.produced);
     EXPECT_FALSE(r.auditLeaked);
 }
 
@@ -381,7 +150,7 @@ TEST(ChaosDirected, BudgetedSwitchDenialsAbsorbedByRetry)
     EXPECT_TRUE(r.run.terminated) << r.haltReason;
     EXPECT_GE(r.faults.injected[size_t(chaos::FaultSite::SwitchDeny)], 1u);
     EXPECT_GE(r.guestRetries, 1u);
-    EXPECT_EQ(r.stored + r.storeDrops + r.ringDrops + r.pending, r.produced);
+    EXPECT_EQ(r.accounted(), r.produced);
 }
 
 TEST(ChaosDirected, PersistentSwitchDenialHaltsAttributed)
@@ -405,10 +174,10 @@ TEST(ChaosDirected, GhcbTamperAbsorbed)
                                  /*seed=*/15, /*budget=*/12));
     EXPECT_TRUE(r.run.terminated) << r.haltReason;
     EXPECT_GE(r.faults.injected[size_t(chaos::FaultSite::GhcbTamper)], 1u);
-    EXPECT_EQ(r.stored + r.storeDrops + r.ringDrops + r.pending, r.produced);
+    EXPECT_EQ(r.accounted(), r.produced);
     uint64_t last = 0;
     for (const auto &rec : r.records) {
-        uint64_t seq = recordSeq(rec);
+        uint64_t seq = auditRecordSeq(rec);
         EXPECT_GT(seq, last) << rec;
         last = seq;
     }
@@ -421,37 +190,99 @@ TEST(ChaosDirected, SpuriousInterruptsAbsorbed)
                                  /*seed=*/17, /*budget=*/32));
     EXPECT_TRUE(r.run.terminated) << r.haltReason;
     EXPECT_GE(r.faults.injected[size_t(chaos::FaultSite::SpuriousIntr)], 1u);
-    EXPECT_EQ(r.stored + r.storeDrops + r.ringDrops + r.pending, r.produced);
+    EXPECT_EQ(r.accounted(), r.produced);
 }
 
-TEST(ChaosDirected, RmpFlipOfAuditRingHaltsNotSilentLoss)
+TEST(ChaosDirected, RmpFlipOfOpRingHaltsNotSilentLoss)
 {
-    // Flipping the kernel's audit ring page to shared must fault the
-    // producer's next append (C-bit mismatch #NPF) — tampering with the
-    // audit pipeline yields a halt, never silently missing records.
-    VeilVm vm(soakConfig());
-    chaos::FaultPlan plan = chaos::FaultPlan::single(
-        chaos::FaultSite::RmpFlip, 1.0, /*seed=*/16, /*budget=*/1);
-    plan.rmpFlipLo = vm.layout().logRing(0);
-    plan.rmpFlipHi = plan.rmpFlipLo + kPageSize;
-    chaos::FaultInjector inj(plan);
-    vm.hypervisor().setFaultInjector(&inj);
-    vm.hypervisor().setExitCap(200'000);
+    // Flipping the kernel's op submission ring page (where batched
+    // audit records queue) to shared must fault the producer's next
+    // append (C-bit mismatch #NPF) — tampering with the audit pipeline
+    // yields a halt, never silently missing records. The flipped page
+    // is host-visible now, but holds only the flip-time scramble
+    // (re-keyed ciphertext) — no audit plaintext.
+    SoakOutcome r = runDirected(
+        chaos::FaultPlan::single(chaos::FaultSite::RmpFlip, 1.0,
+                                 /*seed=*/16, /*budget=*/1),
+        /*flip_op_ring=*/true);
+    EXPECT_FALSE(r.run.terminated);
+    EXPECT_TRUE(r.run.halted);
+    EXPECT_NE(r.haltReason.find("NPF"), std::string::npos) << r.haltReason;
+    EXPECT_FALSE(r.auditLeaked);
+}
 
-    auto result = vm.run([&](Kernel &k, Process &p) {
+TEST(ChaosDirected, RmpFlipOfFreeFrameHaltsBeforeEnclaveCreate)
+{
+    // The host flips a *free* frame to shared; the kernel later hands
+    // it out as an enclave heap page without the guest ever storing to
+    // it, and VeilS-ENC rightly refuses it at EncCreate — a failed
+    // create nothing attributed, in a run that still ends "orderly".
+    // The kernel's zero-fill is a private store, so the flip must fault
+    // there (#NPF) and halt with that reason instead.
+    auto scenario = [](VeilVm &vm, Gpa victim, Gpa *heap_frame,
+                       bool *created) {
+        return vm.run([&vm, victim, heap_frame, created](Kernel &k,
+                                                         Process &p) {
+            if (victim != 0)
+                vm.machine().rmp().hvSetShared(victim, true);
+            NativeEnv env(k, p);
+            EnclaveHost host(env, vm.programs());
+            *created = host.create([](Env &) -> int64_t { return 0; });
+            if (auto leaf = p.as->userLeaf(host.config().heapLo))
+                *heap_frame = *leaf & kPteAddrMask;
+        });
+    };
+
+    // A clean run names the frame the enclave heap gets (allocation is
+    // deterministic), so the hostile run can flip it while still free.
+    Gpa heap_frame = 0;
+    bool created = false;
+    {
+        VeilVm vm(soakConfig());
+        ASSERT_TRUE(scenario(vm, 0, &heap_frame, &created).terminated);
+        ASSERT_TRUE(created);
+        ASSERT_NE(heap_frame, 0u);
+    }
+    VeilVm vm(soakConfig());
+    Gpa unused = 0;
+    created = false;
+    auto result = scenario(vm, heap_frame, &unused, &created);
+    EXPECT_FALSE(result.terminated) << "create failed unattributed";
+    EXPECT_TRUE(result.halted);
+    EXPECT_FALSE(created);
+    EXPECT_NE(vm.machine().haltInfo().reason.find("NPF"), std::string::npos)
+        << vm.machine().haltInfo().reason;
+}
+
+TEST(ChaosDirected, RmpFlipOfPageTableHaltsAttributed)
+{
+    // A flip that lands on a live page-table page leaves re-keyed junk
+    // where the kernel's PTEs were. The kernel's next edit of that
+    // table is a private access and must fault (#NPF, attributed)
+    // rather than trust the junk (a wild "entry" there walks off the
+    // end of guest memory and aborts the simulator).
+    VeilVm vm(soakConfig());
+    auto result = vm.run([&vm](Kernel &k, Process &p) {
         NativeEnv env(k, p);
-        for (int i = 0; i < 10; ++i)
-            env.close(999);
+        Gva first = env.alloc(4096);
+        // The leaf table holding the first user mapping (user-only:
+        // the kernel's identity map lives in other leaf tables).
+        GuestMemory &mem = vm.machine().memory();
+        Gpa table = p.as->cr3();
+        for (int level = 3; level >= 1; --level) {
+            table = mem.readObj<uint64_t>(table + ptIndex(first, level) * 8) &
+                    kPteAddrMask;
+        }
+        vm.machine().rmp().hvSetShared(table, true);
+        std::vector<uint8_t> junk(kPageSize, 0x5a);
+        mem.write(table, junk.data(), junk.size());
+        env.alloc(4096); // mmap maps the next page into that table
     });
     EXPECT_FALSE(result.terminated);
     EXPECT_TRUE(result.halted);
-    EXPECT_TRUE(vm.machine().halted());
-    EXPECT_NE(vm.machine().haltInfo().reason.find("NPF"),
+    EXPECT_NE(vm.machine().haltInfo().reason.find("page-table page"),
               std::string::npos)
         << vm.machine().haltInfo().reason;
-    // The flipped page is host-visible now, but holds only the flip-time
-    // scramble (re-keyed ciphertext) — no audit plaintext.
-    EXPECT_FALSE(sharedPagesContain(vm, "msg=audit(", 10));
 }
 
 TEST(ChaosDirected, RedirectsAndDeadlineFlushSurviveChaos)
@@ -460,7 +291,7 @@ TEST(ChaosDirected, RedirectsAndDeadlineFlushSurviveChaos)
     // timer latch, and the batched-audit deadline flush all interact
     // under non-lethal chaos; the record stream must stay exact.
     VmConfig cfg = soakConfig();
-    cfg.kernel.auditFlushDeadlineCycles = 50'000;
+    cfg.kernel.opFlushDeadlineCycles = 50'000;
     VeilVm vm(cfg);
     const uint64_t quantum = vm.machine().costs().timerQuantum();
 
@@ -497,21 +328,20 @@ TEST(ChaosDirected, RedirectsAndDeadlineFlushSurviveChaos)
             env.close(999);
         // Idle long enough for the deadline flush to drain the tail.
         k.cpu().burn(3 * quantum);
-        EXPECT_EQ(k.auditRingPending(0), 0u);
+        EXPECT_EQ(k.opRingPending(0), 0u);
     });
     ASSERT_TRUE(result.terminated) << vm.machine().haltInfo().reason;
     EXPECT_GT(vm.hypervisor().stats().intrRedirects, 0u);
-    EXPECT_GE(vm.kernel().stats().auditFlushDeadline, 1u);
+    EXPECT_GE(vm.kernel().stats().opFlushDeadline, 1u);
     EXPECT_GE(inj.stats().totalInjected(), 1u);
 
     const KernelStats &s = vm.kernel().stats();
     auto records = vm.services().log().snapshotRecords();
-    EXPECT_EQ(records.size() + vm.services().log().droppedRecords() +
-                  s.auditRingDrops,
+    EXPECT_EQ(records.size() + vm.services().log().droppedRecords(),
               s.auditRecords);
     uint64_t last = 0;
     for (const auto &rec : records) {
-        uint64_t seq = recordSeq(rec);
+        uint64_t seq = auditRecordSeq(rec);
         EXPECT_GT(seq, last) << rec;
         last = seq;
     }

@@ -548,24 +548,28 @@ TEST(Enclave, ExitlessModeServesSyscallsWithoutSwitches)
 
 TEST(Enclave, ExitlessRefusedUnderVeilLogAudit)
 {
-    VmConfig cfg = testConfig();
-    cfg.kernel.auditBackend = kern::AuditBackend::VeilLog;
-    cfg.kernel.auditRules = kern::priorWorkAuditRuleset();
-    VeilVm vm(cfg);
-    bool refused = false;
-    auto result = vm.run([&](Kernel &k, Process &p) {
-        NativeEnv env(k, p);
-        EnclaveHost host(env, vm.programs());
-        EnclaveHost::Params params;
-        params.exitless = true;
-        try {
-            host.create([](Env &) -> int64_t { return 0; }, params);
-        } catch (const PanicError &) {
-            refused = true;
-        }
-    });
-    EXPECT_TRUE(result.terminated);
-    EXPECT_TRUE(refused);
+    // Batched audit too: an in-session record takes the sync LogAppend.
+    for (auto backend :
+         {kern::AuditBackend::VeilLog, kern::AuditBackend::VeilLogBatched}) {
+        VmConfig cfg = testConfig();
+        cfg.kernel.auditBackend = backend;
+        cfg.kernel.auditRules = kern::priorWorkAuditRuleset();
+        VeilVm vm(cfg);
+        bool refused = false;
+        auto result = vm.run([&](Kernel &k, Process &p) {
+            NativeEnv env(k, p);
+            EnclaveHost host(env, vm.programs());
+            EnclaveHost::Params params;
+            params.exitless = true;
+            try {
+                host.create([](Env &) -> int64_t { return 0; }, params);
+            } catch (const PanicError &) {
+                refused = true;
+            }
+        });
+        EXPECT_TRUE(result.terminated);
+        EXPECT_TRUE(refused);
+    }
 }
 
 TEST(Enclave, DestroyScrubsAndReturnsMemory)

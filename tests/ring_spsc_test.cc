@@ -6,7 +6,7 @@
  * producing VCPU's thread with a same-VCPU consumer), so the memory-
  * ordering obligations of the layout — producer publishes the slot
  * *before* the head bump, consumer retires the slot *before* the tail
- * bump, head/tail monotonic, drop-don't-overwrite on full — are
+ * bump, head/tail monotonic, never overwrite on full — are
  * asserted here with a real cross-thread producer/consumer pair using
  * acquire/release atomics over the same RingHeader layout.
  */
@@ -84,11 +84,8 @@ TEST(RingSpsc, ConcurrentProducerConsumerPreservesOrderAndContent)
         while (seq < kRecords) {
             uint64_t head = ring.loadHead();
             if (head - ring.loadTail() >= kSlots) {
-                // Full: the convention is drop-don't-overwrite. Here we
-                // spin instead of dropping so every record arrives, but
-                // exercise the drop counter's (producer-owned) slot too.
-                std::atomic_ref<uint64_t>(ring.hdr.producerDrops)
-                    .fetch_add(0, std::memory_order_relaxed);
+                // Full: never overwrite. Spin until the consumer
+                // retires a slot so every record arrives.
                 std::this_thread::yield();
                 continue;
             }
@@ -113,7 +110,7 @@ TEST(RingSpsc, ConcurrentProducerConsumerPreservesOrderAndContent)
         uint64_t head = ring.loadHead();
         uint64_t tail = ring.loadTail();
         // The consumer-side sanity check must hold at every observation
-        // point (this is the opAppendBatch validation rule).
+        // point (this is drainOpRing's validation rule).
         RingHeader snapshot;
         snapshot.capacity = kSlots;
         snapshot.head = head;
@@ -155,13 +152,12 @@ TEST(RingSpsc, FullRingDropsInsteadOfOverwriting)
     ring.hdr.capacity = kSlots;
 
     // Producer runs alone (consumer never drains): after kSlots fills
-    // the ring is full and every further record must be dropped, with
-    // slot contents left intact.
+    // the ring is full and every further record must be turned away
+    // (the kernel sends those sync), with slot contents left intact.
     uint64_t dropped = 0;
     for (uint64_t seq = 0; seq < kSlots + 17; ++seq) {
         uint64_t head = ring.loadHead();
         if (head - ring.loadTail() >= kSlots) {
-            ++ring.hdr.producerDrops;
             ++dropped;
             continue;
         }
@@ -172,7 +168,6 @@ TEST(RingSpsc, FullRingDropsInsteadOfOverwriting)
         ring.storeHead(head + 1);
     }
     EXPECT_EQ(dropped, 17u);
-    EXPECT_EQ(ring.hdr.producerDrops, 17u);
     EXPECT_EQ(ring.loadHead(), kSlots);
     // The first kSlots records survived untouched.
     for (uint64_t seq = 0; seq < kSlots; ++seq) {
