@@ -1695,7 +1695,13 @@ Kernel::sysMunmap(Process &p, Gva addr, uint64_t len)
         rest.lo = hi;
         p.as->addVma(rest);
     } else {
+        // A hole in the middle keeps the tail as its own VMA, so a
+        // later mmap can never be handed VAs that are still mapped.
+        VmArea rest = *vma;
+        rest.lo = hi;
         vma->hi = addr;
+        if (rest.lo < rest.hi)
+            p.as->addVma(rest);
     }
     // Eagerly drop the range from a live enclave's cloned tables so the
     // enclave can never touch recycled frames (§6.2 synchronization).
@@ -1849,8 +1855,10 @@ Kernel::sysRecvfrom(Process &p, int fd, Gva buf, uint64_t len)
     FdEntry *e = p.fd(fd);
     if (!e || e->type != FdEntry::Type::Socket)
         return -kENOTSOCK;
-    std::vector<uint8_t> data(len);
-    int64_t got = net_.recv(e->sock, data.data(), len);
+    // Most calls find nothing queued (-EAGAIN): size the bounce buffer
+    // to what can actually arrive, not to the caller's buffer.
+    std::vector<uint8_t> data(std::min<uint64_t>(len, net_.pending(e->sock)));
+    int64_t got = net_.recv(e->sock, data.data(), data.size());
     if (got > 0)
         c.write(buf, data.data(), static_cast<size_t>(got));
     return got;

@@ -345,26 +345,31 @@ AddressSpace::removeVma(Gva lo)
 Gva
 AddressSpace::allocUserRange(size_t pages)
 {
-    // The cursor is a bump allocator, but MAP_FIXED mappings (a fleet
-    // clone pins its ocall block at the template's VA) may sit anywhere
-    // in the cursor range — skip past any VMA the candidate overlaps.
-    Gva va = mmapCursor_;
-    Gva hi = va + pages * kPageSize;
-    for (auto it = vmas_.begin(); it != vmas_.end();) {
-        if (it->second.hi <= va) {
-            ++it;
-            continue;
+    // Next fit. Bump from the cursor, skipping past any VMA the
+    // candidate overlaps: MAP_FIXED mappings (a fleet clone pins its
+    // ocall block at the template's VA) may sit anywhere in the cursor
+    // range. A range that no longer fits below kUserVaHi wraps to the
+    // mmap base and takes the first hole munmap left between VMAs.
+    const size_t len = pages * kPageSize;
+    auto fitFrom = [&](Gva va) -> std::optional<Gva> {
+        for (const auto &[lo, vma] : vmas_) {
+            if (vma.hi <= va)
+                continue;
+            if (vma.lo >= va + len)
+                break;
+            va = vma.hi;
         }
-        if (it->second.lo >= hi)
-            break;
-        va = it->second.hi;
-        hi = va + pages * kPageSize;
-        ++it;
-    }
-    mmapCursor_ = hi;
-    if (mmapCursor_ > core::kUserVaHi)
+        if (va + len > core::kUserVaHi)
+            return std::nullopt;
+        return va;
+    };
+    std::optional<Gva> va = fitFrom(mmapCursor_);
+    if (!va)
+        va = fitFrom(kUserMmapBase);
+    if (!va)
         panic("AddressSpace: user VA space exhausted");
-    return va;
+    mmapCursor_ = *va + len;
+    return *va;
 }
 
 } // namespace veil::kern

@@ -173,7 +173,11 @@ class AddressSpace
     void removeVma(snp::Gva lo);
     const std::map<snp::Gva, VmArea> &vmas() const { return vmas_; }
 
-    /** Next free user VA range of @p pages (simple bump + reuse scan). */
+    /**
+     * Next free user VA range of @p pages: bump from a cursor, then
+     * wrap once to the mmap base and reuse the first hole that fits
+     * (next fit). Panics only when no hole fits.
+     */
     snp::Gva allocUserRange(size_t pages);
 
   private:

@@ -1,9 +1,36 @@
 #include "kernel/net.hh"
 
+#include <cstring>
+
 #include "base/log.hh"
 #include "kernel/uapi.hh"
 
 namespace veil::kern {
+
+void
+ByteQueue::append(const uint8_t *data, size_t len)
+{
+    if (head_ > 0 && head_ * 2 >= buf_.size()) {
+        buf_.erase(buf_.begin(), buf_.begin() + head_);
+        head_ = 0;
+    }
+    buf_.insert(buf_.end(), data, data + len);
+}
+
+size_t
+ByteQueue::take(uint8_t *out, size_t len)
+{
+    size_t n = std::min(len, size());
+    if (n == 0)
+        return 0;
+    std::memcpy(out, buf_.data() + head_, n);
+    head_ += n;
+    if (head_ == buf_.size()) {
+        buf_.clear();
+        head_ = 0;
+    }
+    return n;
+}
 
 SockId
 NetStack::create()
@@ -94,7 +121,7 @@ NetStack::send(SockId s, const uint8_t *data, size_t len)
     if (!valid(sk.peer) || sock(sk.peer).peerClosed)
         return -kEPIPE;
     Socket &peer = sock(sk.peer);
-    peer.rx.insert(peer.rx.end(), data, data + len);
+    peer.rx.append(data, len);
     return static_cast<int64_t>(len);
 }
 
@@ -106,13 +133,9 @@ NetStack::recv(SockId s, uint8_t *out, size_t len)
     Socket &sk = sock(s);
     if (sk.peer < 0 && !sk.peerClosed && sk.rx.empty())
         return -kENOTCONN;
-    size_t take = std::min(len, sk.rx.size());
+    size_t take = sk.rx.take(out, len);
     if (take == 0)
         return sk.peerClosed ? 0 : -kEAGAIN;
-    for (size_t i = 0; i < take; ++i) {
-        out[i] = sk.rx.front();
-        sk.rx.pop_front();
-    }
     return static_cast<int64_t>(take);
 }
 

@@ -11,12 +11,32 @@
 
 #include <deque>
 #include <map>
+#include <vector>
 
 #include "base/bytes.hh"
 
 namespace veil::kern {
 
 using SockId = int64_t;
+
+/**
+ * A socket's receive stream: sends append and recvs consume whole
+ * spans, copied in bulk. Consumed bytes are dropped when the queue
+ * empties, or compacted away once they make up half the buffer.
+ */
+class ByteQueue
+{
+  public:
+    size_t size() const { return buf_.size() - head_; }
+    bool empty() const { return head_ == buf_.size(); }
+    void append(const uint8_t *data, size_t len);
+    /** Move up to @p len bytes to @p out; returns how many moved. */
+    size_t take(uint8_t *out, size_t len);
+
+  private:
+    std::vector<uint8_t> buf_;
+    size_t head_ = 0; ///< first unread byte of buf_
+};
 
 /** One socket endpoint. */
 struct Socket
@@ -25,7 +45,7 @@ struct Socket
     bool listening = false;
     uint16_t boundPort = 0;
     SockId peer = -1; ///< -1 = not connected
-    std::deque<uint8_t> rx;
+    ByteQueue rx;
     std::deque<SockId> backlog;
     bool peerClosed = false;
 };

@@ -17,7 +17,6 @@ using core::VeilStatus;
 
 namespace {
 constexpr Gva kGhcbUserVa = 0x3ff0000;
-constexpr size_t kHeaderBytes = offsetof(OcallBlock, data);
 } // namespace
 
 uint64_t
@@ -122,8 +121,7 @@ EnclaveHost::create(EnclaveProgram program, const Params &params)
         // draining posted requests from the shared ocall block.
         registry_.setWorker(program_id, [this]() -> int64_t {
             drainAsyncOcalls();
-            OcallBlock hdr = readHeader();
-            return runOcall(hdr);
+            return runOcall(readHeader());
         });
     }
 
@@ -236,21 +234,21 @@ EnclaveHost::releaseSnapshot(uint64_t snapshot_id)
 }
 
 void
-EnclaveHost::writeHeader(const OcallBlock &hdr)
+EnclaveHost::writeHeader(const OcallHeader &hdr)
 {
     env_.copyIn(ocallGva_, &hdr, kHeaderBytes);
 }
 
-OcallBlock
+OcallHeader
 EnclaveHost::readHeader()
 {
-    OcallBlock hdr{};
+    OcallHeader hdr;
     env_.copyOut(ocallGva_, &hdr, kHeaderBytes);
     return hdr;
 }
 
 int64_t
-EnclaveHost::runOcall(const OcallBlock &hdr)
+EnclaveHost::runOcall(const OcallHeader &hdr)
 {
     const SyscallSpec *spec = findSpec(hdr.sysno);
     if (!spec || !spec->supported)
@@ -338,7 +336,7 @@ EnclaveHost::call()
     ensure(alive_, "EnclaveHost: call before create");
     kernel_.prepEnclaveRun(proc_);
 
-    OcallBlock hdr{};
+    OcallHeader hdr;
     hdr.state = static_cast<uint32_t>(OcallState::CallReq);
     writeHeader(hdr);
 
@@ -349,13 +347,13 @@ EnclaveHost::call()
         // they were submitted earlier in program order, so servicing
         // them first keeps submission order == service order.
         drainAsyncOcalls();
-        OcallBlock resp = readHeader();
+        OcallHeader resp = readHeader();
         auto state = static_cast<OcallState>(resp.state);
         if (state == OcallState::SyscallReq) {
             int64_t r = runOcall(resp);
             if (ocallHook_)
                 ocallHook_();
-            OcallBlock done = resp;
+            OcallHeader done = resp;
             done.ret = r;
             done.state = static_cast<uint32_t>(OcallState::SyscallDone);
             writeHeader(done);
@@ -364,7 +362,7 @@ EnclaveHost::call()
         if (state == OcallState::FaultReq) {
             ++faultsServed_;
             int64_t r = kernel_.enclaveHandleFault(proc_, resp.faultVa);
-            OcallBlock done = resp;
+            OcallHeader done = resp;
             done.ret = r;
             done.state = static_cast<uint32_t>(OcallState::FaultDone);
             writeHeader(done);

@@ -122,10 +122,10 @@ class EnclaveHost
     const EnclaveEnvStats &lastRunStats() const { return lastStats_; }
 
   private:
-    int64_t runOcall(const OcallBlock &hdr);
+    int64_t runOcall(const OcallHeader &hdr);
     void drainAsyncOcalls();
-    void writeHeader(const OcallBlock &hdr);
-    OcallBlock readHeader();
+    void writeHeader(const OcallHeader &hdr);
+    OcallHeader readHeader();
     void computeExpectedMeasurement(const Bytes &config_page,
                                     const Bytes &code_bytes,
                                     const Params &params);

@@ -15,7 +15,6 @@ namespace {
 constexpr uint64_t kOcallDispatchCycles = 500;
 /// Spin-wait handoff cost in exitless mode (shared-memory polling).
 constexpr uint64_t kExitlessPollCycles = 900;
-constexpr size_t kHeaderBytes = offsetof(OcallBlock, data);
 /// Fenced re-exit budget for spurious resumes (DESIGN.md §10). Larger
 /// than any chaos fault budget, so a hostile host that keeps resuming
 /// the enclave early still converges to a Killed verdict, not a spin.
@@ -43,7 +42,7 @@ EnclaveEnv::raiseFault(Gva va)
     ++stats_.faults;
     // Write the fault request into the ocall block and exit to the
     // untrusted world; the OS restores/syncs the page via VeilS-ENC.
-    OcallBlock hdr{};
+    OcallHeader hdr;
     hdr.state = static_cast<uint32_t>(OcallState::FaultReq);
     hdr.faultVa = va;
     cpu_.write(cfg_.ocallGva, &hdr, kHeaderBytes);
@@ -63,7 +62,7 @@ EnclaveEnv::raiseFault(Gva va)
         cpu_.read(cfg_.ocallGva, &state, sizeof(state));
     }
     int64_t ret;
-    cpu_.read(cfg_.ocallGva + offsetof(OcallBlock, ret), &ret, sizeof(ret));
+    cpu_.read(cfg_.ocallGva + offsetof(OcallHeader, ret), &ret, sizeof(ret));
     if (state != static_cast<uint32_t>(OcallState::FaultDone) || ret != 0)
         throw EnclaveKilled("unresolvable page fault");
 }
@@ -150,11 +149,11 @@ EnclaveEnv::writeState(OcallState s)
 void
 EnclaveEnv::writeDoneResult(int64_t ret)
 {
-    cpu_.write(cfg_.ocallGva + offsetof(OcallBlock, ret), &ret, sizeof(ret));
+    cpu_.write(cfg_.ocallGva + offsetof(OcallHeader, ret), &ret, sizeof(ret));
     // Report SDK statistics for the benchmark harness.
     uint64_t stats[4] = {stats_.ocalls, stats_.marshalCycles,
                          stats_.switchCycles, stats_.exitlessCalls};
-    cpu_.write(cfg_.ocallGva + offsetof(OcallBlock, statOcalls), stats,
+    cpu_.write(cfg_.ocallGva + offsetof(OcallHeader, statOcalls), stats,
                sizeof(stats));
     if (cfg_.asyncOcalls != 0) {
         cpu_.write(cfg_.ocallGva + offsetof(OcallBlock, statAsync),
@@ -267,9 +266,7 @@ EnclaveEnv::sysOnce(uint32_t no, const SyscallSpec *spec,
           case ArgKind::InBuf: {
               size_t len = static_cast<size_t>(args[a.lenArg]);
               size_t at = reserve(len);
-              std::vector<uint8_t> tmp(len);
-              guardedRead(args[i], tmp.data(), len);
-              std::memcpy(data + at, tmp.data(), len);
+              guardedRead(args[i], data + at, len);
               wire[i] = at;
               break;
           }
@@ -282,9 +279,7 @@ EnclaveEnv::sysOnce(uint32_t no, const SyscallSpec *spec,
           }
           case ArgKind::InStruct: {
               size_t at = reserve(a.fixedLen);
-              std::vector<uint8_t> tmp(a.fixedLen);
-              guardedRead(args[i], tmp.data(), a.fixedLen);
-              std::memcpy(data + at, tmp.data(), a.fixedLen);
+              guardedRead(args[i], data + at, a.fixedLen);
               wire[i] = at;
               break;
           }
@@ -298,7 +293,7 @@ EnclaveEnv::sysOnce(uint32_t no, const SyscallSpec *spec,
     }
 
     // Write the request (header + used data prefix only).
-    OcallBlock hdr{};
+    OcallHeader hdr;
     hdr.state = static_cast<uint32_t>(OcallState::SyscallReq);
     hdr.sysno = no;
     std::memcpy(hdr.args, wire, sizeof(wire));
@@ -324,7 +319,7 @@ EnclaveEnv::sysOnce(uint32_t no, const SyscallSpec *spec,
         // spins — no VMGEXIT, no state save/restore.
         cpu_.burn(kExitlessPollCycles);
         int64_t r = (*worker_)();
-        OcallBlock done{};
+        OcallHeader done;
         done.state = static_cast<uint32_t>(OcallState::SyscallDone);
         done.ret = r;
         cpu_.write(cfg_.ocallGva, &done, kHeaderBytes);
@@ -334,7 +329,7 @@ EnclaveEnv::sysOnce(uint32_t no, const SyscallSpec *spec,
     }
 
     // ---- unmarshal ----
-    OcallBlock resp{};
+    OcallHeader resp;
     cpu_.read(cfg_.ocallGva, &resp, kHeaderBytes);
     // Fenced spurious-resume recovery (DESIGN.md §10): the state word
     // still holding our own SyscallReq proves the untrusted world never
@@ -362,10 +357,11 @@ EnclaveEnv::sysOnce(uint32_t no, const SyscallSpec *spec,
                 continue;
             len = std::min<size_t>(len, static_cast<size_t>(ret));
         }
-        std::vector<uint8_t> tmp(len);
+        // The request's payload is dead: stage the reply in place.
+        uint8_t *staged = data + outs[i].offset;
         cpu_.read(cfg_.ocallGva + offsetof(OcallBlock, data) + outs[i].offset,
-                  tmp.data(), len);
-        guardedWrite(outs[i].dst, tmp.data(), len);
+                  staged, len);
+        guardedWrite(outs[i].dst, staged, len);
     }
 
     // ---- IAGO sanitization (§6.2): returned pointers must lie

@@ -9,6 +9,7 @@
 #ifndef VEIL_SDK_OCALL_HH_
 #define VEIL_SDK_OCALL_HH_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "snp/types.hh"
@@ -52,8 +53,12 @@ struct AsyncOcallCpl
     int64_t ret = 0;
 };
 
-/** POD block at a fixed app VA; fits in kOcallPages pages. */
-struct OcallBlock
+/**
+ * The part of the ocall block both sides exchange on every request and
+ * reply (kHeaderBytes). Only this header crosses per round trip; the
+ * marshalled payload moves separately, dataLen bytes of OcallBlock::data.
+ */
+struct OcallHeader
 {
     uint32_t state = 0;
     uint32_t sysno = 0;
@@ -67,6 +72,14 @@ struct OcallBlock
     uint64_t statExitless = 0;
     uint32_t dataLen = 0;
     uint32_t pad = 0;
+};
+
+constexpr size_t kHeaderBytes = sizeof(OcallHeader);
+
+/** POD block at a fixed app VA; fits in kOcallPages pages. */
+struct OcallBlock
+{
+    OcallHeader hdr;
     uint8_t data[kOcallDataMax] = {};
 
     // Async ring, appended so every pre-existing field offset (and the
@@ -81,6 +94,9 @@ struct OcallBlock
     AsyncOcallCpl asyncCpl[kAsyncSlots] = {};
 };
 
+static_assert(offsetof(OcallBlock, data) == 112 &&
+                  kHeaderBytes == offsetof(OcallBlock, data),
+              "the ocall header layout is part of the app/enclave ABI");
 static_assert(sizeof(OcallBlock) <= kOcallPages * snp::kPageSize,
               "OcallBlock must fit its reservation");
 

@@ -1,24 +1,30 @@
 /**
  * @file
- * Cooperative fibers (ucontext-based) used to give every VMSA its own
- * execution context. A guest fiber blocks inside vmgexit() and resumes
- * at the corresponding vmenter(), which is exactly how the paper's
- * replicated-VCPU domain switch behaves (§5.2).
+ * Cooperative fibers used to give every VMSA its own execution context.
+ * A guest fiber blocks inside vmgexit() and resumes at the corresponding
+ * vmenter(), which is exactly how the paper's replicated-VCPU domain
+ * switch behaves (§5.2).
+ *
+ * A switch is a few instructions of x86-64 assembly (fiber.cc) that
+ * save the callee-saved registers, MXCSR and the x87 control word and
+ * swap stack pointers. Unlike swapcontext it never saves the signal
+ * mask, which nothing here changes, so it makes no system call.
  *
  * Deterministic by construction on one thread. Multicore mode runs
  * each VCPU's fibers on that VCPU's own host thread (the thread_local
- * current-fiber pointer keeps per-thread scheduling independent);
- * a given fiber always resumes on the thread that started it.
+ * current-fiber pointer keeps per-thread scheduling independent). A
+ * fleet steal may resume a suspended fiber on another host thread, so
+ * the current-fiber pointer is only touched through out-of-line
+ * accessors that find the TLS slot after the switch.
  */
 #ifndef VEIL_SNP_FIBER_HH_
 #define VEIL_SNP_FIBER_HH_
 
-#include <ucontext.h>
-
+#include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #if defined(__SANITIZE_THREAD__)
 #define VEIL_FIBER_TSAN 1
@@ -64,9 +70,10 @@ class Fiber
     static void trampoline();
 
     Fn fn_;
-    std::vector<uint8_t> stack_;
-    ucontext_t ctx_;
-    ucontext_t schedCtx_;
+    uint8_t *stack_ = nullptr; ///< own mapping: pages fault in on first use
+    size_t stackSize_ = 0;
+    void *sp_ = nullptr;      ///< saved fiber stack pointer
+    void *schedSp_ = nullptr; ///< saved scheduler stack pointer
     bool started_ = false;
     bool finished_ = false;
     std::exception_ptr pending_;

@@ -232,6 +232,15 @@ EncService::opCreate(Vcpu &cpu, IdcbMessage &msg)
                            });
     cpu.burn(200 * user_leaves.size()); // scan cost
 
+    // The kernel wrote these leaves: one naming a frame beyond guest
+    // memory must not reach the RMP queries below.
+    for (const auto &[va, pte] : user_leaves) {
+        if ((pte & kPteAddrMask) >= machine_.memory().size()) {
+            msg.status = static_cast<uint64_t>(VeilStatus::VerifyFailed);
+            return;
+        }
+    }
+
     // §6.2 invariants: one-to-one mapping and disjoint physical pages.
     std::set<Gpa> seen;
     for (const auto &[va, pte] : enclave_leaves) {
@@ -688,8 +697,9 @@ EncService::opClone(Vcpu &cpu, IdcbMessage &msg)
     cpu.burn(100 * user_leaves.size());
     for (const auto &[va, pte] : user_leaves) {
         Gpa pa = pte & kPteAddrMask;
-        if (allEnclaveFrames_.count(pa)) {
-            // The OS tried to alias protected memory into the clone.
+        if (allEnclaveFrames_.count(pa) || pa >= machine_.memory().size()) {
+            // The OS tried to alias protected memory into the clone, or
+            // named a frame beyond guest memory.
             srvEditor_.destroyRoot(e.cloneCr3);
             msg.status = static_cast<uint64_t>(VeilStatus::VerifyFailed);
             return;

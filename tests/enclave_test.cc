@@ -457,6 +457,39 @@ TEST(Enclave, AliasedMappingFailsInitInvariant)
     });
 }
 
+TEST(Enclave, UserLeafBeyondGuestMemoryFailsInit)
+{
+    inVm(testConfig(), [](VeilVm &vm, Kernel &k, Process &p, NativeEnv &env) {
+        // Malicious OS writes a user PTE outside the enclave window that
+        // names a frame beyond guest memory (no RMP flip involved):
+        // VeilS-ENC must refuse it before asking the RMP about it.
+        Gva lo = kEnclaveBase;
+        ASSERT_GT(env.sys(kSysMmap, lo, 4 * kPageSize,
+                          kPROT_READ | kPROT_WRITE,
+                          kMAP_ANONYMOUS | kMAP_PRIVATE | kMAP_FIXED,
+                          uint64_t(-1), 0),
+                  0);
+        const Gva stray = 0x6000000;
+        Gpa beyond = vm.machine().memory().size() + 16 * kPageSize;
+        p.as->mapUser(stray, beyond, kPROT_READ | kPROT_WRITE);
+
+        core::IdcbMessage m;
+        m.op = static_cast<uint32_t>(core::VeilOp::EncCreate);
+        m.args[0] = p.as->cr3();
+        m.args[1] = lo;
+        m.args[2] = lo + 4 * kPageSize;
+        m.args[3] = vm.layout().osGhcb(0); // any shared page
+        m.args[4] = 0;
+        m.args[5] = 1;
+        m.args[7] = k.idtHandler();
+        k.callService(m);
+        EXPECT_EQ(m.status,
+                  static_cast<uint64_t>(core::VeilStatus::VerifyFailed));
+        EXPECT_EQ(vm.services().enc().liveEnclaves(), 0u);
+        p.as->unmapUser(stray); // never the allocator's frame
+    });
+}
+
 TEST(Enclave, MprotectInsideEnclaveMediatedByService)
 {
     inVm(testConfig(), [](VeilVm &vm, Kernel &k, Process &p, NativeEnv &env) {

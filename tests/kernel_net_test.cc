@@ -220,5 +220,87 @@ TEST(KernelNet, InterleavedStateMachinesProgressViaEagain)
     EXPECT_EQ(net.pending(conn), 0u);
 }
 
+/** Connected client socket and its accepted server side on @p port. */
+std::pair<SockId, SockId>
+makePair(NetStack &net, uint16_t port)
+{
+    SockId srv = makeListener(net, port);
+    SockId cli = net.create();
+    EXPECT_EQ(net.connect(cli, port), 0);
+    int64_t conn = net.accept(srv);
+    EXPECT_GT(conn, 0);
+    return {cli, SockId(conn)};
+}
+
+TEST(KernelNet, SendsCoalesceAndShortReadsKeepOrder)
+{
+    NetStack net;
+    auto [cli, conn] = makePair(net, 9500);
+    ASSERT_EQ(sendStr(net, cli, "ab"), 2);
+    ASSERT_EQ(sendStr(net, cli, "cde"), 3);
+    ASSERT_EQ(sendStr(net, cli, "fghij"), 5);
+    EXPECT_EQ(net.pending(conn), 10u);
+
+    int64_t rc = 0;
+    EXPECT_EQ(recvStr(net, conn, 4, &rc), "abcd");
+    EXPECT_EQ(recvStr(net, conn, 3, &rc), "efg");
+    EXPECT_EQ(recvStr(net, conn, 64, &rc), "hij");
+    EXPECT_EQ(rc, 3);
+    EXPECT_EQ(recvStr(net, conn, 64, &rc), "");
+    EXPECT_EQ(rc, -kEAGAIN);
+}
+
+TEST(KernelNet, ShortRecvLeavesTheRestQueued)
+{
+    NetStack net;
+    auto [cli, conn] = makePair(net, 9600);
+    // Interleave sends with partial reads so the queue both drops and
+    // compacts consumed bytes; the stream must stay exact throughout.
+    std::string sent, got;
+    uint8_t next = 0;
+    for (int round = 0; round < 50; ++round) {
+        std::string chunk(100 + round * 7, '\0');
+        for (char &ch : chunk)
+            ch = char(next++);
+        ASSERT_EQ(sendStr(net, cli, chunk), int64_t(chunk.size()));
+        sent += chunk;
+        size_t before = net.pending(conn);
+        size_t want = before / 2 + 1;
+        int64_t rc = 0;
+        got += recvStr(net, conn, want, &rc);
+        ASSERT_EQ(rc, int64_t(want));
+        EXPECT_EQ(net.pending(conn), before - want);
+    }
+    int64_t rc = 0;
+    got += recvStr(net, conn, sent.size(), &rc);
+    EXPECT_EQ(got, sent);
+    EXPECT_EQ(net.pending(conn), 0u);
+}
+
+TEST(KernelNet, QueuedBytesDrainAfterPeerCloseThenZero)
+{
+    NetStack net;
+    auto [cli, conn] = makePair(net, 9700);
+    std::string payload(5000, 'x');
+    for (size_t i = 0; i < payload.size(); ++i)
+        payload[i] = char('a' + i % 26);
+    ASSERT_EQ(sendStr(net, cli, payload), int64_t(payload.size()));
+    ASSERT_EQ(sendStr(net, cli, "tail"), 4);
+    net.close(cli);
+
+    std::string got;
+    int64_t rc = 0;
+    while (true) {
+        std::string part = recvStr(net, conn, 777, &rc);
+        if (rc <= 0)
+            break;
+        got += part;
+    }
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(got, payload + "tail");
+    EXPECT_EQ(recvStr(net, conn, 8, &rc), "");
+    EXPECT_EQ(rc, 0);
+}
+
 } // namespace
 } // namespace veil::kern

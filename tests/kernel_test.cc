@@ -19,6 +19,7 @@ namespace veil::kern {
 namespace {
 
 using snp::Gpa;
+using snp::kPageSize;
 
 // ---- RamFs ----
 
@@ -325,6 +326,87 @@ TEST(KernelMisc, UnknownSyscallReturnsEnosys)
     vm.run([](Kernel &k, Process &p) {
         sdk::NativeEnv env(k, p);
         EXPECT_EQ(env.sys(299), -kENOSYS);
+    });
+}
+
+TEST(KernelMisc, MunmappedUserVaIsReused)
+{
+    // 20,000 rounds of a 3-page mmap + munmap need ~234 MiB of user VA,
+    // more than the 192 MiB mmap window: the allocator must reuse what
+    // munmap gave back instead of panicking with VA space exhausted.
+    LogConfig::setThreshold(LogLevel::Silent);
+    sdk::VmConfig cfg;
+    cfg.machine.memBytes = 32 * 1024 * 1024;
+    cfg.machine.numVcpus = 1;
+    sdk::VeilVm vm(cfg);
+    auto result = vm.run([](Kernel &k, Process &p) {
+        sdk::NativeEnv env(k, p);
+        constexpr uint64_t kLen = 3 * kPageSize;
+        const int prot = kPROT_READ | kPROT_WRITE;
+        // A fixed mapping the cursor passes before it wraps, and a
+        // long-lived one that leaves a hole below it after the wrap.
+        const snp::Gva fixed = 0x8000000;
+        ASSERT_EQ(env.sys(kSysMmap, fixed, 2 * kPageSize, prot,
+                          kMAP_ANONYMOUS | kMAP_PRIVATE | kMAP_FIXED,
+                          uint64_t(-1), 0),
+                  int64_t(fixed));
+        const uint64_t marker = 0x5eed5eed5eed5eedULL;
+        env.copyIn(fixed, &marker, sizeof(marker));
+        int64_t keep = env.mmap(kPageSize, prot);
+        ASSERT_GT(keep, 0);
+
+        auto disjoint = [&] {
+            snp::Gva prev_hi = 0;
+            for (const auto &[lo, vma] : p.as->vmas()) {
+                if (vma.lo < prev_hi)
+                    return false;
+                prev_hi = vma.hi;
+            }
+            return true;
+        };
+        bool wrapped = false;
+        int64_t last = 0;
+        for (int i = 0; i < 20000; ++i) {
+            int64_t va = env.mmap(kLen, prot);
+            ASSERT_GT(va, 0) << "round " << i;
+            wrapped |= va < last;
+            last = va;
+            ASSERT_TRUE(uint64_t(va) + kLen <= fixed ||
+                        uint64_t(va) >= fixed + 2 * kPageSize)
+                << "round " << i << " overlaps the MAP_FIXED mapping";
+            ASSERT_TRUE(uint64_t(va) + kLen <= uint64_t(keep) ||
+                        uint64_t(va) >= uint64_t(keep) + kPageSize)
+                << "round " << i << " overlaps a live mapping";
+            if (i % 1000 == 0)
+                ASSERT_TRUE(disjoint()) << "round " << i;
+            ASSERT_EQ(env.munmap(snp::Gva(va), kLen), 0);
+        }
+        EXPECT_TRUE(wrapped);
+        EXPECT_TRUE(disjoint());
+        uint64_t back = 0;
+        env.copyOut(fixed, &back, sizeof(back));
+        EXPECT_EQ(back, marker);
+    });
+    EXPECT_TRUE(result.terminated) << vm.machine().haltInfo().reason;
+}
+
+TEST(KernelMisc, MunmapOfAMiddleRangeKeepsTheTailMapped)
+{
+    LogConfig::setThreshold(LogLevel::Silent);
+    sdk::VmConfig cfg;
+    cfg.machine.memBytes = 32 * 1024 * 1024;
+    cfg.machine.numVcpus = 1;
+    sdk::VeilVm vm(cfg);
+    vm.run([](Kernel &k, Process &p) {
+        sdk::NativeEnv env(k, p);
+        int64_t va = env.mmap(4 * kPageSize, kPROT_READ | kPROT_WRITE);
+        ASSERT_GT(va, 0);
+        ASSERT_EQ(env.munmap(snp::Gva(va) + kPageSize, kPageSize), 0);
+        EXPECT_NE(p.as->findVma(snp::Gva(va)), nullptr);
+        EXPECT_EQ(p.as->findVma(snp::Gva(va) + kPageSize), nullptr);
+        ASSERT_NE(p.as->findVma(snp::Gva(va) + 2 * kPageSize), nullptr);
+        EXPECT_EQ(p.as->findVma(snp::Gva(va) + 3 * kPageSize)->hi,
+                  snp::Gva(va) + 4 * kPageSize);
     });
 }
 

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "base/log.hh"
 #include "snp/fault.hh"
 #include "snp/machine.hh"
@@ -60,6 +62,176 @@ TEST(Fiber, PropagatesExceptions)
     Fiber f([] { throw std::runtime_error("inner"); });
     EXPECT_THROW(f.resume(), std::runtime_error);
     EXPECT_TRUE(f.finished());
+}
+
+uint32_t
+readMxcsr()
+{
+    uint32_t v;
+    asm volatile("stmxcsr %0" : "=m"(v));
+    return v;
+}
+
+void
+writeMxcsr(uint32_t v)
+{
+    asm volatile("ldmxcsr %0" : : "m"(v));
+}
+
+uint16_t
+readFpuCw()
+{
+    uint16_t v;
+    asm volatile("fnstcw %0" : "=m"(v));
+    return v;
+}
+
+void
+writeFpuCw(uint16_t v)
+{
+    asm volatile("fldcw %0" : : "m"(v));
+}
+
+TEST(Fiber, SwitchPreservesRegistersAndFpControl)
+{
+    constexpr int kSwitches = 100000;
+    constexpr uint32_t kRcMask = 0x6000;   // MXCSR rounding control
+    constexpr uint16_t kX87RcMask = 0x0c00; // x87 CW rounding control
+    const uint32_t sched_mxcsr = readMxcsr();
+    const uint16_t sched_cw = readFpuCw();
+    int bad_fiber_fp = 0;
+
+    // Six values live across every yield on each side: they sit in
+    // callee-saved registers (or their spill slots) across the switch.
+    uint64_t fiber_sum = 0;
+    Fiber f([&] {
+        // Round toward zero on both units inside the fiber only.
+        writeMxcsr(readMxcsr() | kRcMask);
+        writeFpuCw(readFpuCw() | kX87RcMask);
+        uint64_t a = 1, b = 2, c = 3, d = 5, e = 7, g = 11;
+        for (int i = 0; i < kSwitches; ++i) {
+            asm volatile("" : "+r"(a), "+r"(b), "+r"(c), "+r"(d), "+r"(e),
+                         "+r"(g));
+            Fiber::yieldToScheduler();
+            asm volatile("" : "+r"(a), "+r"(b), "+r"(c), "+r"(d), "+r"(e),
+                         "+r"(g));
+            a = a * 3 + b;
+            b ^= c + i;
+            c += d;
+            d = d * 5 + e;
+            e ^= g << 1;
+            g += a;
+            if ((readMxcsr() & kRcMask) != kRcMask ||
+                (readFpuCw() & kX87RcMask) != kX87RcMask)
+                ++bad_fiber_fp;
+        }
+        fiber_sum = a ^ b ^ c ^ d ^ e ^ g;
+    });
+
+    uint64_t a = 13, b = 17, c = 19, d = 23, e = 29, g = 31;
+    int bad_sched_fp = 0;
+    for (int i = 0; !f.finished(); ++i) {
+        asm volatile("" : "+r"(a), "+r"(b), "+r"(c), "+r"(d), "+r"(e),
+                     "+r"(g));
+        f.resume();
+        asm volatile("" : "+r"(a), "+r"(b), "+r"(c), "+r"(d), "+r"(e),
+                     "+r"(g));
+        a += b * 7;
+        b ^= c + i;
+        c = c * 3 + d;
+        d += e;
+        e ^= g >> 1;
+        g += a;
+        if (readMxcsr() != sched_mxcsr || readFpuCw() != sched_cw)
+            ++bad_sched_fp;
+    }
+    uint64_t sched_sum = a ^ b ^ c ^ d ^ e ^ g;
+
+    // Replay both computations without any switch.
+    uint64_t ra = 1, rb = 2, rc = 3, rd = 5, re = 7, rg = 11;
+    for (int i = 0; i < kSwitches; ++i) {
+        ra = ra * 3 + rb;
+        rb ^= rc + i;
+        rc += rd;
+        rd = rd * 5 + re;
+        re ^= rg << 1;
+        rg += ra;
+    }
+    EXPECT_EQ(fiber_sum, ra ^ rb ^ rc ^ rd ^ re ^ rg);
+    uint64_t sa = 13, sb = 17, sc = 19, sd = 23, se = 29, sg = 31;
+    for (int i = 0; i <= kSwitches; ++i) {
+        sa += sb * 7;
+        sb ^= sc + i;
+        sc = sc * 3 + sd;
+        sd += se;
+        se ^= sg >> 1;
+        sg += sa;
+    }
+    EXPECT_EQ(sched_sum, sa ^ sb ^ sc ^ sd ^ se ^ sg);
+    EXPECT_EQ(bad_fiber_fp, 0);
+    EXPECT_EQ(bad_sched_fp, 0);
+    EXPECT_EQ(readMxcsr(), sched_mxcsr);
+    EXPECT_EQ(readFpuCw(), sched_cw);
+}
+
+TEST(Fiber, ExceptionsCrossYieldsAndPropagate)
+{
+    LogConfig::setThreshold(LogLevel::Silent);
+    int caught_inside = 0;
+    Fiber f([&] {
+        try {
+            Fiber::yieldToScheduler();
+            throw std::logic_error("caught in the fiber");
+        } catch (const std::logic_error &) {
+            ++caught_inside;
+        }
+        Fiber::yieldToScheduler();
+        throw std::runtime_error("escapes the fiber");
+    });
+    f.resume();
+    f.resume();
+    EXPECT_EQ(caught_inside, 1);
+    EXPECT_FALSE(f.finished());
+    EXPECT_THROW(f.resume(), std::runtime_error);
+    EXPECT_TRUE(f.finished());
+    EXPECT_EQ(Fiber::current(), nullptr);
+}
+
+/** The host thread running the caller. Out of line and opaque: glibc
+ *  declares pthread_self const, so an inlined call could be reused
+ *  across a yield that moved the fiber to another thread. */
+[[gnu::noinline]] std::thread::id
+hostThread()
+{
+    asm volatile("");
+    return std::this_thread::get_id();
+}
+
+TEST(Fiber, ResumesOnASecondHostThread)
+{
+    std::thread::id ran_on[2];
+    Fiber *seen[2] = {nullptr, nullptr};
+    Fiber f([&] {
+        ran_on[0] = hostThread();
+        seen[0] = Fiber::current();
+        Fiber::yieldToScheduler();
+        ran_on[1] = hostThread();
+        seen[1] = Fiber::current();
+    });
+    f.resume();
+    EXPECT_EQ(Fiber::current(), nullptr);
+    Fiber *on_thief = &f;
+    std::thread thief([&] {
+        on_thief->resume();
+        EXPECT_EQ(Fiber::current(), nullptr);
+    });
+    thief.join();
+    EXPECT_TRUE(f.finished());
+    EXPECT_EQ(ran_on[0], hostThread());
+    EXPECT_NE(ran_on[1], ran_on[0]);
+    EXPECT_EQ(seen[0], &f);
+    EXPECT_EQ(seen[1], &f);
+    EXPECT_EQ(Fiber::current(), nullptr);
 }
 
 TEST(Machine, SimpleEnterRunsToCompletion)
