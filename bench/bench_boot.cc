@@ -58,7 +58,7 @@ AblationSample
 measureLazy(size_t mem_mb, bool huge_pages)
 {
     VmConfig cfg = veilConfig(mem_mb);
-    cfg.lazyAccept = true;
+    cfg.kernel.lazyAccept = true;
     cfg.machine.hugePages = huge_pages;
     VeilVm vm(cfg);
     vm.run([](kern::Kernel &, kern::Process &) {});

@@ -257,7 +257,7 @@ Kernel::bspMain(Vcpu &cpu)
         cpu.vmsa().softTimerHook = [this] { opMaybeDeadlineFlush(); };
     }
 
-    if (config_.veilEnabled && config_.activateKci) {
+    if (config_.veilEnabled) {
         IdcbMessage m;
         m.op = static_cast<uint32_t>(VeilOp::KciActivate);
         m.args[0] = textLo_;
@@ -498,8 +498,7 @@ Kernel::loadModule(const Bytes &image)
     mod.dest = dest;
     mod.destPages = dest_pages;
 
-    bool use_kci = config_.veilEnabled && config_.activateKci;
-    if (use_kci) {
+    if (config_.veilEnabled) {
         // Stage the image in kernel memory for VeilS-KCI.
         uint32_t img_pages =
             static_cast<uint32_t>(pageAlignUp(image.size()) / kPageSize);

@@ -26,10 +26,10 @@ namespace veil::kern {
 /** Kernel configuration. */
 struct KernelConfig
 {
-    /// Running under Veil (Dom-UNT) vs native CVM (VMPL-0 boot).
+    /// Running under Veil (Dom-UNT, with VeilS-KCI W^X + signed module
+    /// loading) vs native CVM (VMPL-0 boot). VeilVm derives it from
+    /// VmConfig::veilEnabled.
     bool veilEnabled = true;
-    /// Activate VeilS-KCI W^X + signed module loading at boot.
-    bool activateKci = true;
     AuditBackend auditBackend = AuditBackend::None;
     std::set<uint32_t> auditRules;
     /// Exit-less VeilOp batching (DESIGN.md §11): queue deferrable
@@ -45,10 +45,12 @@ struct KernelConfig
     /// op has been pending this many cycles (bounds how long a queued
     /// audit record stays unprotected).
     uint64_t opFlushDeadlineCycles = 2'000'000;
-    /// Lazy acceptance (DESIGN.md §14): the launch left bulk memory
-    /// unassigned; boot accepts it via PageStateChange-to-private.
-    /// With huge pages on the requests are grouped (multi-entry 2 MiB
-    /// PSC); off, each page pays its own round trip (ablation baseline).
+    /// Lazy acceptance (DESIGN.md §14): launch leaves the OS region
+    /// (at/above kernelBase) unassigned; boot accepts it via
+    /// PageStateChange-to-private. VeilVm also hands it to the launch
+    /// and to VeilMon. With huge pages on the requests are grouped
+    /// (multi-entry 2 MiB PSC); off, each page pays its own round trip
+    /// (ablation baseline).
     bool lazyAccept = false;
     /// Module signing key known to the kernel build (native verify
     /// path) and provisioned to VeilS-KCI.

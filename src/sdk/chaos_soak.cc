@@ -42,9 +42,6 @@ VmConfig
 soakConfig()
 {
     LogConfig::setThreshold(LogLevel::Silent);
-    // The hugepage arm sets MachineConfig::hugePages itself; drop the
-    // A/B env escape so both arms are deterministic.
-    unsetenv("VEIL_HUGEPAGES");
     VmConfig cfg;
     cfg.machine.memBytes = 32 * 1024 * 1024;
     cfg.machine.numVcpus = 1;
@@ -63,7 +60,7 @@ runSoakSeed(uint64_t seed, bool huge_pages)
     if (huge_pages) {
         // 2 MiB RMP entries: the fault mixture forces runtime smashes.
         cfg.machine.hugePages = true;
-        cfg.lazyAccept = true;
+        cfg.kernel.lazyAccept = true;
     }
     if (seed % 2 == 0) {
         cfg.kernel.auditBackend = AuditBackend::VeilLog;

@@ -60,30 +60,23 @@ EnclaveHost::computeExpectedMeasurement(const Bytes &config_page,
                                         const Bytes &code_bytes,
                                         const Params &params)
 {
-    // Replays VeilS-ENC's measurement: (va, pte-meta, contents) for
-    // every enclave page in ascending VA order (§6.2).
+    // Replays VeilS-ENC's measurement over the launch inputs: every
+    // enclave page in ascending VA order, with the user-PTE permissions
+    // create() leaves it (config R, code R+X, heap and stack RW).
+    constexpr uint64_t kReadOnly = PteUser | PteNx;
+    constexpr uint64_t kExec = PteUser;
+    constexpr uint64_t kReadWrite = PteUser | PteWrite | PteNx;
     crypto::Sha256 meas;
     Bytes zero_page(kPageSize, 0);
-    auto add_page = [&](Gva va, bool write, bool exec, const uint8_t *bytes) {
-        uint64_t meta = PteUser;
-        if (write)
-            meta |= PteWrite;
-        if (!exec)
-            meta |= PteNx;
-        meas.update(&va, sizeof(va));
-        meas.update(&meta, sizeof(meta));
-        meas.update(bytes, kPageSize);
-    };
-
     Gva va = cfg_.enclaveLo;
-    add_page(va, false, false, config_page.data());
+    core::measureEnclavePage(meas, va, kReadOnly, config_page.data());
     va += kPageSize;
     for (size_t i = 0; i < params.codePages; ++i, va += kPageSize)
-        add_page(va, false, true, code_bytes.data() + i * kPageSize);
-    for (size_t i = 0; i < params.heapPages; ++i, va += kPageSize)
-        add_page(va, true, false, zero_page.data());
-    for (size_t i = 0; i < params.stackPages; ++i, va += kPageSize)
-        add_page(va, true, false, zero_page.data());
+        core::measureEnclavePage(meas, va, kExec,
+                                 code_bytes.data() + i * kPageSize);
+    for (size_t i = 0; i < params.heapPages + params.stackPages;
+         ++i, va += kPageSize)
+        core::measureEnclavePage(meas, va, kReadWrite, zero_page.data());
     expected_ = meas.finish();
 }
 

@@ -16,9 +16,6 @@ VeilVm::VeilVm(VmConfig config)
       hv_(machine_)
 {
     config_.kernel.veilEnabled = config_.veilEnabled;
-    if (!config_.veilEnabled)
-        config_.kernel.activateKci = false;
-    config_.kernel.lazyAccept = config_.lazyAccept;
 
     kernel_ = std::make_unique<kern::Kernel>(machine_, layout_,
                                              config_.kernel);
@@ -30,7 +27,7 @@ VeilVm::VeilVm(VmConfig config)
 
     if (config_.veilEnabled) {
         monitor_ = std::make_unique<core::VeilMon>(machine_, layout_);
-        monitor_->setLazyAccept(config_.lazyAccept);
+        monitor_->setLazyAccept(config_.kernel.lazyAccept);
         services_ = std::make_unique<core::ServiceDispatcher>(
             machine_, layout_, *monitor_, config_.kernel.moduleKey);
 
@@ -79,7 +76,7 @@ VeilVm::run(kern::Kernel::InitFn init)
     params.extraSharedPages = layout_.launchSharedPages();
     // Everything launch touches (image, VMSA pool, GHCBs, IDCBs) sits
     // below kernelBase, so the OS region is safe to leave unaccepted.
-    params.lazyAccept = config_.lazyAccept;
+    params.lazyAccept = config_.kernel.lazyAccept;
     params.lazyLo = layout_.kernelBase;
     if (config_.veilEnabled) {
         params.bootGhcb = layout_.bootGhcb;

@@ -25,11 +25,6 @@ struct VmConfig
     kern::KernelConfig kernel;
     size_t imageBytes = 128 * 1024;    ///< boot image size
     size_t logBytes = 1 * 1024 * 1024; ///< VeilS-LOG reserved storage
-    /// Lazy acceptance (DESIGN.md §14): launch leaves the OS region
-    /// (at/above kernelBase) unassigned; boot accepts it on demand via
-    /// PageStateChange-to-private. Grouped 2 MiB requests when
-    /// machine.hugePages is on, per-page round trips otherwise.
-    bool lazyAccept = false;
 
     VmConfig()
     {

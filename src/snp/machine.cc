@@ -1,8 +1,5 @@
 #include "snp/machine.hh"
 
-#include <cstdlib>
-#include <string_view>
-
 #include "base/log.hh"
 #include "crypto/stats.hh"
 #include "snp/fault.hh"
@@ -58,14 +55,6 @@ Machine::Machine(const MachineConfig &config)
     ensure(config.numVcpus >= 1, "Machine: need at least one VCPU");
     nextTimerTsc_ = costs().timerQuantum();
 
-    hugePages_ = config.hugePages;
-    if (const char *env = std::getenv("VEIL_HUGEPAGES")) {
-        if (env[0] == '\0' || env[0] == '0' ||
-            std::string_view(env) == "off")
-            hugePages_ = false;
-        else
-            hugePages_ = true;
-    }
     multicore_ = config.hostThreads != 0;
     if (multicore_) {
         tscShards_.resize(config.numVcpus);

@@ -57,9 +57,7 @@ struct MachineConfig
     /// 2 MiB large-page fast path (DESIGN.md §14): huge RMP entries,
     /// PS-bit leaves, and batched lazy acceptance.
     /// Off (default), no huge-page code runs and simulated cycle counts
-    /// are bit-identical to the historical 4 KiB-only machine. The
-    /// VEIL_HUGEPAGES environment variable overrides: "0"/"off" forces
-    /// false, any other non-empty value forces true.
+    /// are bit-identical to the historical 4 KiB-only machine.
     bool hugePages = false;
     /// Multicore mode: run each VCPU's fiber loop on its own host
     /// thread (any non-zero value enables it; one thread per VCPU).
@@ -252,8 +250,8 @@ class Machine
     /** Record a CVM halt (e.g. on #NPF). */
     void recordHalt(const std::string &reason, Gpa gpa, Vmpl vmpl);
 
-    /** Whether the 2 MiB large-page fast path is on (config + env). */
-    bool hugePagesEnabled() const { return hugePages_; }
+    /** Whether the 2 MiB large-page fast path is on. */
+    bool hugePagesEnabled() const { return config_.hugePages; }
 
     /**
      * Queue an interrupt vector for @p id: on its next resume the
@@ -310,7 +308,6 @@ class Machine
     std::mutex haltMu_;
     MachineStats stats_;
     bool shuttingDown_ = false;
-    bool hugePages_ = false;
     // ---- Multicore state ----
     bool multicore_ = false;
     std::vector<TscShard> tscShards_;

@@ -1,7 +1,5 @@
 #include "trace/chrome.hh"
 
-#if !defined(VEIL_TRACE_DISABLE)
-
 #include <cinttypes>
 #include <cstdio>
 #include <map>
@@ -138,5 +136,3 @@ writeChromeTrace(const Tracer &tracer, const std::string &path)
 }
 
 } // namespace veil::trace
-
-#endif // !VEIL_TRACE_DISABLE

@@ -15,29 +15,11 @@
 
 namespace veil::trace {
 
-#if !defined(VEIL_TRACE_DISABLE)
-
 /** Render the whole trace as one Chrome trace-event JSON document. */
 std::string chromeTraceJson(const Tracer &tracer);
 
 /** Write chromeTraceJson to @p path. Returns false on I/O failure. */
 bool writeChromeTrace(const Tracer &tracer, const std::string &path);
-
-#else // VEIL_TRACE_DISABLE
-
-inline std::string
-chromeTraceJson(const Tracer &)
-{
-    return "{}";
-}
-
-inline bool
-writeChromeTrace(const Tracer &, const std::string &)
-{
-    return false;
-}
-
-#endif // VEIL_TRACE_DISABLE
 
 } // namespace veil::trace
 

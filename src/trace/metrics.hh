@@ -6,8 +6,7 @@
  * printer (bench/common) renders them uniformly in text and JSON.
  *
  * The registry is a pure presentation-layer container — collecting
- * metrics never mutates simulated state, and it works identically in
- * VEIL_TRACE_DISABLE builds (tracer-derived entries are simply absent).
+ * metrics never mutates simulated state.
  */
 #ifndef VEIL_TRACE_METRICS_HH_
 #define VEIL_TRACE_METRICS_HH_

@@ -8,7 +8,6 @@
 
 namespace veil::trace {
 
-#if !defined(VEIL_TRACE_DISABLE)
 /**
  * Per-thread tracer binding for multicore mode: which tracer the
  * calling worker thread belongs to, its time source (the VCPU's TSC
@@ -33,7 +32,6 @@ atomicLoad64(const uint64_t &v)
         .load(std::memory_order_relaxed);
 }
 } // namespace
-#endif // !VEIL_TRACE_DISABLE
 
 const char *
 categoryName(Category c)
@@ -94,8 +92,6 @@ categoryName(Category c)
     }
     return "unknown";
 }
-
-#if !defined(VEIL_TRACE_DISABLE)
 
 namespace {
 
@@ -421,7 +417,5 @@ Tracer::ringEvents(size_t ring) const
         out.push_back(r.buf[(r.head + i) % r.buf.size()]);
     return out;
 }
-
-#endif // !VEIL_TRACE_DISABLE
 
 } // namespace veil::trace

@@ -7,9 +7,8 @@
  * simulated cycles, never touches guest memory, the RMP, or any VMSA,
  * and consumes the virtual TSC through a read-only pointer — so guest
  * TSC sequences and MachineStats are bit-identical whether tracing is
- * enabled, disabled at runtime (VEIL_TRACE=off), or compiled out
- * entirely (the VEIL_TRACE_DISABLE cmake option). A dedicated
- * equivalence test pins this contract.
+ * enabled or disabled (VEIL_TRACE=off, or TraceConfig::enabled). A
+ * dedicated equivalence test pins this contract.
  *
  * Model:
  *  - Events land in fixed-capacity per-VCPU ring buffers (plus one host
@@ -119,8 +118,6 @@ struct SpanHistogram
 
 constexpr uint32_t kHostVcpu = 0xffffffffu;
 constexpr uint8_t kHostVmpl = 0xff;
-
-#if !defined(VEIL_TRACE_DISABLE)
 
 /** The per-machine tracer. All methods are no-ops while disabled. */
 class Tracer
@@ -280,53 +277,6 @@ class Tracer
     base::Spinlock histLock_;
 };
 
-#else // VEIL_TRACE_DISABLE
-
-/** Compiled-out tracer: every hook is an empty inline, zero overhead. */
-class Tracer
-{
-  public:
-    Tracer() = default;
-    Tracer(const Tracer &) = delete;
-    Tracer &operator=(const Tracer &) = delete;
-
-    void configure(const TraceConfig &, uint32_t, const uint64_t *) {}
-    bool enabled() const { return false; }
-
-    void setMulticore(bool) {}
-    void presizeGuest(size_t) {}
-    void bindThread(uint32_t, const uint64_t *) {}
-    void unbindThread() {}
-
-    void enterContext(uint32_t, uint32_t, uint8_t) {}
-    void exitContext() {}
-    void onCharge(uint64_t) {}
-
-    void instant(Category, uint64_t = 0) {}
-    void instantAt(uint32_t, uint8_t, Category, uint64_t = 0) {}
-    void beginSpan(Category, uint64_t = 0) {}
-    void endSpan() {}
-    void spanAt(uint32_t, uint8_t, Category, uint64_t, uint64_t,
-                uint64_t = 0)
-    {
-    }
-
-    uint64_t cycles(Category) const { return 0; }
-    uint64_t totalCycles() const { return 0; }
-    uint64_t recordedEvents() const { return 0; }
-    uint64_t droppedEvents() const { return 0; }
-    size_t ringCount() const { return 0; }
-    size_t ringCapacity() const { return 0; }
-    uint64_t ringDropped(size_t) const { return 0; }
-    std::vector<Event> ringEvents(size_t) const { return {}; }
-    const SpanHistogram &histogram(Category) const
-    {
-        static const SpanHistogram empty;
-        return empty;
-    }
-};
-
-#endif // VEIL_TRACE_DISABLE
 
 /** RAII span: opens on construction, closes (and records) on scope exit. */
 class SpanScope

@@ -25,6 +25,16 @@ constexpr uint64_t kCloneMapCyclesPerPage = 60;
 constexpr uint64_t kCloneFaultCycles = kPageSize / 2;
 } // namespace
 
+void
+measureEnclavePage(crypto::Sha256 &meas, Gva va, uint64_t pte,
+                   const uint8_t *contents)
+{
+    uint64_t meta_flags = pte & (PteWrite | PteNx | PteUser);
+    meas.update(&va, sizeof(va));
+    meas.update(&meta_flags, sizeof(meta_flags));
+    meas.update(contents, kPageSize);
+}
+
 EncService::EncService(Machine &machine, const CvmLayout &layout,
                        VeilMon &monitor)
     : machine_(machine),
@@ -281,14 +291,11 @@ EncService::opCreate(Vcpu &cpu, IdcbMessage &msg)
     // Measure (contents + metadata), then revoke Dom-UNT access and
     // grant Dom-ENC access to the enclave pages.
     crypto::Sha256 meas;
+    std::vector<uint8_t> page(kPageSize);
     for (const auto &[va, pte] : enclave_leaves) {
         Gpa pa = pte & kPteAddrMask;
-        uint64_t meta_flags = pte & (PteWrite | PteNx | PteUser);
-        meas.update(&va, sizeof(va));
-        meas.update(&meta_flags, sizeof(meta_flags));
-        std::vector<uint8_t> page(kPageSize);
         cpu.readPhys(pa, page.data(), page.size());
-        meas.update(page.data(), page.size());
+        measureEnclavePage(meas, va, pte, page.data());
         cpu.burn(kMeasureCyclesPerPage);
 
         cpu.rmpadjust(pa, Vmpl::Vmpl2, vmpl2PermsFor(pte));

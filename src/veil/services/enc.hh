@@ -24,6 +24,7 @@
 #include "base/spinlock.hh"
 #include "crypto/aes.hh"
 #include "crypto/hmac.hh"
+#include "crypto/sha256.hh"
 #include "snp/paging.hh"
 #include "veil/monitor.hh"
 
@@ -32,6 +33,16 @@ namespace veil::core {
 /** User virtual-address window of mini-kernel processes. */
 constexpr snp::Gva kUserVaLo = 0x0000000000400000ULL;
 constexpr snp::Gva kUserVaHi = 0x0000000010000000ULL;
+
+/**
+ * Fold one enclave page into a launch measurement (§6.2): its VA, its
+ * permission bits (@p pte & (PteWrite | PteNx | PteUser)) and its 4 KiB
+ * of @p contents. VeilS-ENC measures every enclave page this way in
+ * ascending VA order; the SDK replays the same rule from the launch
+ * inputs to compute the digest a remote user expects.
+ */
+void measureEnclavePage(crypto::Sha256 &meas, snp::Gva va, uint64_t pte,
+                        const uint8_t *contents);
 
 /** Per-enclave protected metadata (conceptually in Dom-SRV memory). */
 struct EnclaveInfo

@@ -80,6 +80,27 @@ TEST(Enclave, MeasurementMatchesLocalExpectation)
     });
 }
 
+TEST(Enclave, SmallEnclaveMeasurementMatchesPinnedDigest)
+{
+    // Pins the §6.2 measurement bytes for config + 2 code + 1 heap +
+    // 1 stack page. The layout, the config page and the code bytes (an
+    // Rng seeded by the program id) are fixed, so the digest is a
+    // constant. MeasurementMatchesLocalExpectation alone would miss a
+    // rule change that moved VeilS-ENC and the SDK replay alike.
+    constexpr const char *kPinned =
+        "ead534030c95890520494899fb4554c38ac60b2cf08f92acdf052db516be235e";
+    inVm(testConfig(), [&](VeilVm &vm, Kernel &k, Process &p, NativeEnv &env) {
+        EnclaveHost::Params params;
+        params.codePages = 2;
+        params.heapPages = 1;
+        params.stackPages = 1;
+        EnclaveHost host(env, vm.programs());
+        ASSERT_TRUE(host.create([](Env &) -> int64_t { return 0; }, params));
+        EXPECT_EQ(crypto::digestHex(host.expectedMeasurement()), kPinned);
+        EXPECT_EQ(crypto::digestHex(host.fetchMeasurement()), kPinned);
+    });
+}
+
 TEST(Enclave, SealedMeasurementVerifiesOverChannel)
 {
     VmConfig cfg = testConfig();

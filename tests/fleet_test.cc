@@ -8,7 +8,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 #include "base/log.hh"
 #include "fleet/fleet.hh"
@@ -27,9 +26,6 @@ VmConfig
 fleetVmConfig(uint32_t vcpus = 2, uint32_t host_threads = 0)
 {
     LogConfig::setThreshold(LogLevel::Silent);
-    // This suite controls MachineConfig::hugePages per test; drop the
-    // A/B env escape so every run is deterministic.
-    unsetenv("VEIL_HUGEPAGES");
     VmConfig cfg;
     cfg.machine.memBytes = 64 * 1024 * 1024;
     cfg.machine.numVcpus = vcpus;

@@ -10,7 +10,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 #include "base/log.hh"
 #include "snp/fault.hh"
@@ -20,12 +19,6 @@
 
 namespace veil::snp {
 namespace {
-
-// The mixed-size sequence sets MachineConfig::hugePages itself.
-const bool kEnvCleared = [] {
-    unsetenv("VEIL_HUGEPAGES");
-    return true;
-}();
 
 class InvalidationTest : public ::testing::Test
 {

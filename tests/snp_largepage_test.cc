@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "base/log.hh"
@@ -24,13 +25,6 @@
 
 namespace veil::snp {
 namespace {
-
-// The suite controls MachineConfig::hugePages itself; drop the env
-// override before any Machine exists.
-const bool kEnvCleared = [] {
-    unsetenv("VEIL_HUGEPAGES");
-    return true;
-}();
 
 class LargePageTest : public ::testing::Test
 {
@@ -327,6 +321,47 @@ TEST_F(LargePageTest, ConcurrentFourKMutationsSplitOnceConsistently)
         EXPECT_TRUE(machine->rmp().isValidated(p));
 }
 
+// ---- Configuration ----
+
+/// The environment override that Machine no longer reads.
+constexpr const char *kHugePagesEnv = "VEIL_HUGEPAGES";
+
+/** Scoped kHugePagesEnv value, restored on exit. */
+class ScopedHugePagesEnv
+{
+  public:
+    explicit ScopedHugePagesEnv(const char *value)
+    {
+        if (const char *old = std::getenv(kHugePagesEnv))
+            saved_ = old;
+        had_ = std::getenv(kHugePagesEnv) != nullptr;
+        ::setenv(kHugePagesEnv, value, 1);
+    }
+    ~ScopedHugePagesEnv()
+    {
+        if (had_)
+            ::setenv(kHugePagesEnv, saved_.c_str(), 1);
+        else
+            ::unsetenv(kHugePagesEnv);
+    }
+
+  private:
+    bool had_ = false;
+    std::string saved_;
+};
+
+TEST(LargePageConfig, EnvironmentCannotOverrideMachineConfig)
+{
+    // MachineConfig::hugePages is the only switch: the removed
+    // environment escape must not turn the fast path back on.
+    ScopedHugePagesEnv env("1");
+    MachineConfig cfg;
+    cfg.memBytes = 4 * 1024 * 1024;
+    cfg.hugePages = false;
+    Machine m(cfg);
+    EXPECT_FALSE(m.hugePagesEnabled());
+}
+
 // ---- FrameAllocator contiguous aligned ranges ----
 
 TEST(LargePageAllocator, AlignedRangeWithGapRecycledAndFallback)
@@ -378,7 +413,7 @@ TEST(LargePageBoot, VeilHugeLazyBootProtectsRegionsAndIsDeterministic)
         cfg.machine.memBytes = 32 * 1024 * 1024;
         cfg.machine.numVcpus = 1;
         cfg.machine.hugePages = huge;
-        cfg.lazyAccept = lazy;
+        cfg.kernel.lazyAccept = lazy;
         sdk::VeilVm vm(cfg);
         uint64_t tsc = 0;
         vm.run([&](kern::Kernel &k, kern::Process &) {
@@ -417,7 +452,7 @@ TEST(LargePageBoot, NativeHugeLazyBootCompletes)
     cfg.machine.numVcpus = 1;
     cfg.machine.hugePages = true;
     cfg.veilEnabled = false;
-    cfg.lazyAccept = true;
+    cfg.kernel.lazyAccept = true;
     sdk::VeilVm vm(cfg);
     bool ran = false;
     auto r = vm.run([&](kern::Kernel &k, kern::Process &) {

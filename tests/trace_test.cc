@@ -4,9 +4,8 @@
  *
  * 1. Zero-simulated-cost determinism: the golden boot + enclave-paging
  *    scenario (tests/paging_scenario.hh) must reproduce the seed TSC
- *    and MachineStats with tracing enabled, disabled at runtime
- *    (VEIL_TRACE=off), and compiled out (this file builds and passes
- *    under VEIL_TRACE_DISABLE too, where the tracer is a no-op mirror).
+ *    and MachineStats with tracing enabled and disabled at runtime
+ *    (VEIL_TRACE=off).
  * 2. Attribution reconciliation: summing the per-category cycle
  *    counters equals the machine's final TSC exactly, independent of
  *    ring drops.
@@ -69,7 +68,7 @@ class ScopedTraceEnv
 
 TEST(TraceDeterminism, TracingEnabledMatchesSeedRecording)
 {
-    ScopedTraceEnv env(nullptr); // default: tracing on (or compiled out)
+    ScopedTraceEnv env(nullptr); // default: tracing on
     RunRecord r = runPagingScenario();
     expectSeedRecord(r);
 }
@@ -100,9 +99,7 @@ TEST(TraceDeterminism, TinyRingMatchesSeedRecording)
     expectSeedRecord(r);
 }
 
-#if !defined(VEIL_TRACE_DISABLE)
-
-// ---- Attribution and ring behaviour (live tracer required) ----
+// ---- Attribution and ring behaviour ----
 
 TEST(TraceAttribution, CategorySumsReconcileWithMachineTsc)
 {
@@ -434,24 +431,6 @@ TEST(TraceChrome, ExportIsValidAndReconciles)
         }
     }
 }
-
-#else // VEIL_TRACE_DISABLE
-
-TEST(TraceDisabled, CompiledOutTracerIsInert)
-{
-    trace::Tracer tr;
-    tr.configure(trace::TraceConfig{}, 1, nullptr);
-    EXPECT_FALSE(tr.enabled());
-    tr.beginSpan(trace::Category::Syscall);
-    tr.onCharge(123);
-    tr.endSpan();
-    EXPECT_EQ(tr.totalCycles(), 0u);
-    EXPECT_EQ(tr.recordedEvents(), 0u);
-    EXPECT_EQ(tr.ringCount(), 0u);
-    EXPECT_EQ(trace::chromeTraceJson(tr), "{}");
-}
-
-#endif // VEIL_TRACE_DISABLE
 
 } // namespace
 } // namespace veil
