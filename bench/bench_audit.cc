@@ -330,7 +330,7 @@ main(int argc, char **argv)
     note("Every batched stream matches execute-ahead record for record.");
     note("The trade: up to one batch of records is unprotected if the");
     note("kernel is compromised mid-window (bounded loss; DESIGN.md §11).");
-    ensure(reduction >= 5.0,
-           "audit ablation: batch 32 must cut domain switches >= 5x");
-    return 0;
+    gate("audit.veillog.switches_per_record", per_rec_sw(veil), ">=", 2);
+    gate("audit.switch_reduction_at_32", reduction, ">=", 5);
+    return gateFinish();
 }

@@ -6,8 +6,6 @@
  * measure a 256 MiB guest and linearly extrapolate the per-page costs
  * to the paper's 2 GB configuration (both are reported).
  */
-#include <cstdio>
-
 #include "common.hh"
 
 using namespace veil;
@@ -141,7 +139,7 @@ main(int argc, char **argv)
     // Lazy-acceptance boots: with huge pages off, every OS page pays
     // its own PageStateChange round trip + PVALIDATE; with huge pages
     // on, grouped multi-entry PSC requests and PVALIDATE-2M cover whole
-    // regions. The reductions below are CI-gated.
+    // regions. The reductions below are gated.
     heading("2 MiB large-page boot ablation (lazy acceptance)");
     constexpr size_t kAblMemMb = 64;
     AblationSample small = measureLazy(kAblMemMb, /*huge_pages=*/false);
@@ -184,27 +182,13 @@ main(int argc, char **argv)
     jsonMetric("boot.ablation.pscBatches", double(huge.pscBatches));
     jsonMetric("boot.ablation.hugeRegions", double(huge.hugeRegions));
 
-    // Acceptance gates (ISSUE 9): the huge-page boot must save at least
-    // 5x the domain switches and 3x the PVALIDATEs of the 4 KiB boot.
-    bool ok = true;
-    if (exit_red < 5.0) {
-        std::fprintf(stderr,
-                     "bench_boot: FAIL boot domain-switch reduction "
-                     "%.2fx < 5x\n",
-                     exit_red);
-        ok = false;
-    }
-    if (pv_red < 3.0) {
-        std::fprintf(stderr,
-                     "bench_boot: FAIL PVALIDATE reduction %.2fx < 3x\n",
-                     pv_red);
-        ok = false;
-    }
-    if (huge.hugeRegions == 0 || huge.pscBatches == 0) {
-        std::fprintf(stderr, "bench_boot: FAIL huge path not exercised\n");
-        ok = false;
-    }
-    note(ok ? "ablation gates: PASS (>=5x switches, >=3x PVALIDATEs)"
-            : "ablation gates: FAIL");
-    return ok ? 0 : 1;
+    // The huge-page boot must save at least 5x the domain switches and
+    // 3x the PVALIDATEs of the 4 KiB boot.
+    gate("boot.ablation.exitReduction", exit_red, ">=", 5);
+    gate("boot.ablation.pvalidateReduction", pv_red, ">=", 3);
+    gate("boot.ablation.hugeRegions", double(huge.hugeRegions), ">", 0);
+    gate("boot.ablation.pscBatches", double(huge.pscBatches), ">", 0);
+    gate("boot.ablation.exits.2m", double(huge.exits), "<",
+         double(small.exits));
+    return gateFinish();
 }

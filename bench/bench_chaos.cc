@@ -9,7 +9,7 @@
  *
  * --seeds=N selects the sweep width (default 64). With --json <path>
  * every table (including the per-seed outcome table) and the aggregate
- * metrics are dumped as one JSON document — the CI artifact.
+ * metrics are dumped as one JSON document, gates included.
  */
 #include "common.hh"
 
@@ -112,13 +112,10 @@ main(int argc, char **argv)
     jsonMetric("audit_produced", double(produced));
     jsonMetric("audit_stored", double(stored));
 
-    note("");
-    if (violating_seeds == 0) {
-        note("Every seed reached progress or an attributed halt with an "
-             "exact, confidential audit stream.");
-    } else {
-        note(fmt("%llu seed(s) violated a resilience invariant!",
-                 (unsigned long long)violating_seeds));
-    }
-    return violating_seeds == 0 ? 0 : 1;
+    gate("violations", double(violating_seeds), "==", 0);
+    gate("terminated+halted", double(terminated + halted), "==",
+         double(seeds));
+    gate("faults_injected", double(injected), ">", double(seeds));
+    gate("guest_retries", double(retries), ">", 0);
+    return gateFinish();
 }

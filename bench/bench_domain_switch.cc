@@ -7,7 +7,7 @@
  *
  * Also hosts the multicore scale sweep (DESIGN.md §12): host wall-clock
  * domain-switch + paging throughput at 1..32 VCPUs, single-threaded vs
- * one-host-thread-per-VCPU, with a CI speedup gate at 8 threads.
+ * one-host-thread-per-VCPU, with a speedup gate at 8 threads.
  */
 #include "common.hh"
 
@@ -120,8 +120,8 @@ scaleRun(uint32_t vcpus, int rounds, int pages, bool multicore)
     return std::chrono::duration<double>(t1 - t0).count();
 }
 
-/** Scale sweep + CI gate; returns the process exit code. */
-int
+/** Scale sweep and its gates. */
+void
 scaleSweep()
 {
     heading("Multicore scale sweep (domain switches + paging, host time)");
@@ -145,6 +145,7 @@ scaleSweep()
                   fmt("%.2fx", mt / st)});
         jsonMetric(fmt("scale_st_%u_kswitches_per_s", n), st, "kswitch/s");
         jsonMetric(fmt("scale_mt_%u_kswitches_per_s", n), mt, "kswitch/s");
+        gate(fmt("scale_mt_%u_kswitches_per_s", n), mt, ">", 0);
     }
     t.print();
 
@@ -156,16 +157,12 @@ scaleSweep()
     if (cores >= 8) {
         note(fmt("8-VCPU speedup: %.2fx on %u host cores (gate: >= 4x).",
                  speedup8, cores));
-        if (speedup8 < 4.0) {
-            note("FAIL: multicore speedup gate not met");
-            return 1;
-        }
+        gate("scale_speedup_8", speedup8, ">=", 4);
     } else {
         note(fmt("8-VCPU speedup: %.2fx — gate skipped, only %u host "
                  "core(s) visible.",
                  speedup8, cores));
     }
-    return 0;
 }
 
 } // namespace
@@ -237,8 +234,8 @@ main(int argc, char **argv)
 
     printVmStats(vm.machine());
 
-    int rc = scaleSweep();
+    scaleSweep();
 
     traceFinish(vm.machine());
-    return rc;
+    return gateFinish();
 }

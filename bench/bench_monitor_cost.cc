@@ -78,5 +78,5 @@ main(int argc, char **argv)
     note("while read+write protection and an in-CVM TCB come for free —");
     note("the trade-off the paper argues for (§9.1).");
     traceFinish(vm.machine());
-    return 0;
+    return gateFinish();
 }

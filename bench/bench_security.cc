@@ -14,18 +14,20 @@ using namespace veil::sdk;
 
 namespace {
 
-int
-printBattery(const char *title, const std::vector<AttackOutcome> &outcomes)
+/** Print one battery and gate its undefended attacks at zero. */
+void
+printBattery(const char *gate_name, const char *title,
+             const std::vector<AttackOutcome> &outcomes)
 {
     Table t(title, {"Attack", "Defense (paper)", "Observed", "Defended"});
-    int failures = 0;
+    int undefended = 0;
     for (const auto &o : outcomes) {
         t.addRow({o.attack, o.defense,
                   o.observed.substr(0, 60), o.defended ? "yes" : "NO"});
-        failures += !o.defended;
+        undefended += !o.defended;
     }
     t.print();
-    return failures;
+    gate(fmt("security.%s.undefended", gate_name), undefended, "==", 0);
 }
 
 } // namespace
@@ -36,29 +38,21 @@ main(int argc, char **argv)
     jsonInit(&argc, argv, "bench_security");
     heading("§8 security analysis and validation");
 
-    int failures = 0;
-    failures += printBattery(
-        "Table 1: attacks against the Veil framework (§8.1)",
-        runFrameworkAttacks());
-    failures += printBattery(
-        "Table 2: attacks against VeilS-ENC enclaves (§8.2)",
-        runEnclaveAttacks());
-    failures += printBattery(
+    printBattery("framework",
+                 "Table 1: attacks against the Veil framework (§8.1)",
+                 runFrameworkAttacks());
+    printBattery("enclave",
+                 "Table 2: attacks against VeilS-ENC enclaves (§8.2)",
+                 runEnclaveAttacks());
+    printBattery(
+        "paper_validation",
         "§8.3 experimental validation (the paper's two concrete attacks)",
         runPaperValidationAttacks());
-    failures += printBattery(
-        "VeilChaos: hostile-hypervisor resilience (DESIGN.md §10)",
-        runChaosAttacks());
-    failures += printBattery(
-        "Attestation & session provisioning (DESIGN.md §15)",
-        runAttestationAttacks());
-
-    note("");
-    if (failures == 0) {
-        note("All attacks defended — matching the paper's validation.");
-    } else {
-        note(fmt("%d attack(s) NOT defended — security regression!",
-                 failures));
-    }
-    return failures == 0 ? 0 : 1;
+    printBattery("chaos",
+                 "VeilChaos: hostile-hypervisor resilience (DESIGN.md §10)",
+                 runChaosAttacks());
+    printBattery("attestation",
+                 "Attestation & session provisioning (DESIGN.md §15)",
+                 runAttestationAttacks());
+    return gateFinish();
 }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 
 #include "base/log.hh"
 #include "crypto/stats.hh"
@@ -38,6 +39,14 @@ struct JsonSink
         double value;
         std::string unit;
     };
+    struct GateRec
+    {
+        std::string name;
+        double value;
+        std::string op;
+        double bound;
+        bool pass;
+    };
 
     bool enabled = false;
     bool flushed = false;
@@ -47,6 +56,8 @@ struct JsonSink
     std::vector<TableRec> tables;
     std::vector<BarRec> bars;
     std::vector<MetricRec> metrics;
+    std::set<std::string> metricNames;
+    std::vector<GateRec> gates;
 };
 
 JsonSink &
@@ -93,6 +104,15 @@ jsonAppendNumber(std::string &out, double v)
         out += fmt("%lld", static_cast<long long>(v));
     else
         out += fmt("%.6g", v);
+}
+
+/** Gate values and bounds: integral ones print without a fraction. */
+std::string
+numStr(double v)
+{
+    std::string out;
+    jsonAppendNumber(out, v);
+    return out;
 }
 
 } // namespace
@@ -241,8 +261,48 @@ void
 jsonMetric(const std::string &name, double value, const std::string &unit)
 {
     JsonSink &sink = jsonSink();
+    if (!sink.metricNames.insert(name).second)
+        panic("bench: JSON metric recorded twice: " + name);
     if (sink.enabled)
         sink.metrics.push_back({name, value, unit});
+}
+
+void
+gate(const std::string &name, double value, const char *op, double bound)
+{
+    std::string o = op;
+    bool pass;
+    if (o == ">=")
+        pass = value >= bound;
+    else if (o == ">")
+        pass = value > bound;
+    else if (o == "==")
+        pass = value == bound;
+    else if (o == "<")
+        pass = value < bound;
+    else if (o == "<=")
+        pass = value <= bound;
+    else
+        panic("bench: unknown gate op '" + o + "' for " + name);
+    jsonSink().gates.push_back({name, value, o, bound, pass});
+}
+
+int
+gateFinish()
+{
+    JsonSink &sink = jsonSink();
+    if (sink.gates.empty())
+        return 0;
+    int failures = 0;
+    Table t("Gates", {"Gate", "Value", "Op", "Bound", "Result"});
+    for (const auto &g : sink.gates) {
+        t.addRow({g.name, numStr(g.value), g.op, numStr(g.bound),
+                  g.pass ? "pass" : "FAIL"});
+        failures += !g.pass;
+    }
+    t.print();
+    jsonMetric("gate_failures", failures);
+    return failures == 0 ? 0 : 1;
 }
 
 void
@@ -299,7 +359,20 @@ jsonFlush()
         jsonAppendNumber(out, met.value);
         out += fmt(", \"unit\": \"%s\"}", jsonEscape(met.unit).c_str());
     }
-    out += sink.metrics.empty() ? "]\n" : "\n  ]\n";
+    out += sink.metrics.empty() ? "],\n" : "\n  ],\n";
+
+    out += "  \"gates\": [";
+    for (size_t g = 0; g < sink.gates.size(); ++g) {
+        const auto &gt = sink.gates[g];
+        out += g ? ",\n    {" : "\n    {";
+        out += fmt("\"name\": \"%s\", \"value\": ",
+                   jsonEscape(gt.name).c_str());
+        jsonAppendNumber(out, gt.value);
+        out += fmt(", \"op\": \"%s\", \"bound\": ", gt.op.c_str());
+        jsonAppendNumber(out, gt.bound);
+        out += fmt(", \"pass\": %s}", gt.pass ? "true" : "false");
+    }
+    out += sink.gates.empty() ? "]\n" : "\n  ]\n";
     out += "}\n";
 
     if (std::FILE *f = std::fopen(sink.path.c_str(), "w")) {
@@ -363,12 +436,13 @@ vmStatsRegistry(const snp::Machine &m)
 
 /** Print a registry's counters as a table and mirror them to --json. */
 void
-printRegistry(const trace::MetricsRegistry &reg, const std::string &title)
+printRegistry(const trace::MetricsRegistry &reg, const std::string &title,
+              const std::string &json_prefix)
 {
     Table t(title, {"Counter", "Count"});
     for (const auto &met : reg.counters()) {
         t.addRow({met.name, fmt("%llu", (unsigned long long)met.value)});
-        jsonMetric(met.name, double(met.value), met.unit);
+        jsonMetric(json_prefix + met.name, double(met.value), met.unit);
     }
     t.print();
 }
@@ -376,15 +450,24 @@ printRegistry(const trace::MetricsRegistry &reg, const std::string &title)
 } // namespace
 
 void
-printVmStats(const snp::Machine &m)
+printVmStats(const snp::Machine &m, const std::string &json_prefix)
 {
-    printRegistry(vmStatsRegistry(m), "Machine hardware-event counters");
+    printRegistry(vmStatsRegistry(m), "Machine hardware-event counters",
+                  json_prefix);
+}
+
+uint64_t
+opRingSwitchesSaved(const kern::KernelStats &s)
+{
+    return s.opSubmitted > s.opDoorbells ? 2 * (s.opSubmitted - s.opDoorbells)
+                                         : 0;
 }
 
 void
-printVmStats(const snp::Machine &m, const kern::Kernel &k)
+printVmStats(const snp::Machine &m, const kern::Kernel &k,
+             const std::string &json_prefix)
 {
-    printVmStats(m);
+    printVmStats(m, json_prefix);
     const kern::KernelStats &s = k.stats();
 
     trace::MetricsRegistry reg;
@@ -406,18 +489,13 @@ printVmStats(const snp::Machine &m, const kern::Kernel &k)
     reg.addCounter("kernel.opring.flushDeadline", s.opFlushDeadline);
     reg.addCounter("kernel.opring.flushBarrier", s.opFlushBarrier);
     reg.addCounter("kernel.opring.maxDepth", s.opMaxDepth);
-    // Each deferred op avoided one IDCB round trip (two domain
-    // switches); each doorbell spent one round trip to drain a batch.
-    uint64_t saved = s.opSubmitted > s.opDoorbells
-                         ? 2 * (s.opSubmitted - s.opDoorbells)
-                         : 0;
-    reg.addCounter("kernel.opring.switchesSaved", saved);
+    reg.addCounter("kernel.opring.switchesSaved", opRingSwitchesSaved(s));
     // Physical-frame pressure: live footprint, lifetime peak, and the
     // budget ceiling (fleet benches gate eviction behaviour on these).
     reg.addCounter("vm.frames.inUse", k.frames().inUse());
     reg.addCounter("vm.frames.highWater", k.frames().highWater());
     reg.addCounter("vm.frames.total", k.frames().totalFrames());
-    printRegistry(reg, "Kernel VeilOp counters");
+    printRegistry(reg, "Kernel VeilOp counters", json_prefix);
 }
 
 void
@@ -437,9 +515,11 @@ traceFinish(const snp::Machine &m)
     reg.addTracer(tr);
     Table t("Simulated cycles by category", {"Category", "Cycles", "Share"});
     uint64_t total = tr.totalCycles();
+    uint64_t category_sum = 0;
     for (const auto &met : reg.counters()) {
         if (met.name.rfind("cycles.", 0) != 0 || met.name == "cycles.total")
             continue;
+        category_sum += met.value;
         t.addRow({met.name.substr(7),
                   fmt("%llu", (unsigned long long)met.value),
                   fmt("%5.1f%%",
@@ -454,6 +534,9 @@ traceFinish(const snp::Machine &m)
     jsonMetric("cycles.total", double(total), "cycles");
     jsonMetric("trace.events", double(tr.recordedEvents()));
     jsonMetric("trace.dropped", double(tr.droppedEvents()));
+    gate("trace.cycles_by_category_sum", double(category_sum), "==",
+         double(total));
+    gate("trace.events", double(tr.recordedEvents()), ">", 0);
 
     if (trace::writeChromeTrace(tr, path))
         note(fmt("trace: wrote Chrome trace to %s", path.c_str()));

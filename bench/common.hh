@@ -51,9 +51,29 @@ void printBar(const std::string &label, double value, double max_value,
  */
 void jsonInit(int *argc, char **argv, const std::string &bench_name);
 
-/** Record a standalone key/value metric in the JSON document. */
+/**
+ * Record a standalone key/value metric in the JSON document. A name is
+ * recorded at most once per document; a repeat panics.
+ */
 void jsonMetric(const std::string &name, double value,
                 const std::string &unit = "");
+
+/**
+ * Record an acceptance gate: the bench passes it iff
+ * `value op bound`, with @p op one of ">=", ">", "==", "<", "<=" (any
+ * other op panics). Every bench bound goes through here, so
+ * gateFinish() can list them all.
+ */
+void gate(const std::string &name, double value, const char *op,
+          double bound);
+
+/**
+ * Close the bench: print the "Gates" table (name, value, op, bound,
+ * verdict), add the "gates" array and the gate_failures metric to the
+ * JSON document, and return main's exit code — 1 iff any gate failed.
+ * Prints nothing when no gate was recorded.
+ */
+int gateFinish();
 
 /**
  * Consume a boolean flag (e.g. "--huge-db") from argv: returns true and
@@ -61,7 +81,8 @@ void jsonMetric(const std::string &name, double value,
  */
 bool flagConsume(int *argc, char **argv, const char *flag);
 
-/** Write the JSON document now (idempotent; also runs atexit). */
+/** Write the JSON document now (idempotent; also runs atexit). A
+ *  failed gate still gets its document written, with its verdict. */
 void jsonFlush();
 
 /** Section header. */
@@ -79,9 +100,10 @@ double overheadPct(double value, double base);
  * Print the machine's hardware-event counters (entries/exits,
  * rmpadjust/pvalidate) and the process-wide crypto counters — all
  * through the VeilTrace metrics registry, so text and --json output
- * stay in sync.
+ * stay in sync. @p json_prefix is prepended to each JSON metric name,
+ * so a bench that prints the counters of two VMs keeps names unique.
  */
-void printVmStats(const snp::Machine &m);
+void printVmStats(const snp::Machine &m, const std::string &json_prefix = "");
 
 /**
  * Kernel-aware variant: additionally prints per-VeilOp call counts
@@ -89,14 +111,22 @@ void printVmStats(const snp::Machine &m);
  * doorbells, flush triggers, and the domain switches the ring saved —
  * again mirrored to --json so text and JSON always agree.
  */
-void printVmStats(const snp::Machine &m, const kern::Kernel &k);
+void printVmStats(const snp::Machine &m, const kern::Kernel &k,
+                  const std::string &json_prefix = "");
+
+/**
+ * Domain switches the op ring saved: each deferred op avoided one IDCB
+ * round trip (two switches); each doorbell spent one to drain a batch.
+ */
+uint64_t opRingSwitchesSaved(const kern::KernelStats &s);
 
 /**
  * Finish-line trace hook for bench binaries: if jsonInit() saw a
  * --trace path (or VEIL_TRACE_JSON), export the machine's VeilTrace
  * rings as a Chrome trace-event JSON file and print the simulated
- * cycles-by-category attribution table. Without a path, prints
- * nothing and writes nothing.
+ * cycles-by-category attribution table. Gates that the categories sum
+ * to the total and that events were recorded. Without a path, prints
+ * nothing, writes nothing and gates nothing.
  */
 void traceFinish(const snp::Machine &m);
 

@@ -324,8 +324,9 @@ FleetManager::dequeue(Vcpu &cpu, uint32_t vcpu)
     if (!queues_[vcpu].empty()) {
         s = queues_[vcpu].front();
         queues_[vcpu].pop_front();
-    } else if (cfg_.workSteal) {
-        // Steal the coldest (tail) session from the longest queue.
+    } else {
+        // Own queue empty: steal the coldest (tail) session from the
+        // longest other queue.
         size_t best = 0;
         uint32_t victim = vcpu;
         for (uint32_t q = 0; q < queues_.size(); ++q) {

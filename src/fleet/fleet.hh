@@ -67,8 +67,6 @@ struct FleetConfig
     /// Seed for every fleet decision (Zipf draws); per-session draws
     /// are keyed by session id, so totals are schedule-independent.
     uint64_t seed = 1;
-    /// Steal from the longest other queue when the own queue is empty.
-    bool workSteal = true;
     /// Evict idle sessions' private pages once the allocator's inUse()
     /// crosses this many frames; 0 disables pressure sweeps (the
     /// reclaim hook still runs if the allocator empties outright).

@@ -7,11 +7,18 @@ namespace veil::sdk {
 
 using namespace snp;
 
+namespace {
+
+/** Size of the measured boot image. */
+constexpr size_t kBootImageBytes = 128 * 1024;
+
+} // namespace
+
 VeilVm::VeilVm(VmConfig config)
     : config_(std::move(config)),
       layout_(core::CvmLayout::compute(config_.machine.memBytes,
                                        config_.machine.numVcpus,
-                                       config_.imageBytes, config_.logBytes)),
+                                       kBootImageBytes, config_.logBytes)),
       machine_(config_.machine),
       hv_(machine_)
 {
@@ -23,7 +30,7 @@ VeilVm::VeilVm(VmConfig config)
     // The measured boot image: VeilMon + services, or the kernel image
     // for a native CVM. Contents are deterministic synthetic bytes.
     Rng image_rng(config_.veilEnabled ? 0x7665696cULL : 0x6c696e78ULL);
-    bootImage_ = image_rng.bytes(config_.imageBytes);
+    bootImage_ = image_rng.bytes(kBootImageBytes);
 
     if (config_.veilEnabled) {
         monitor_ = std::make_unique<core::VeilMon>(machine_, layout_);

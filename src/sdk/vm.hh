@@ -23,7 +23,6 @@ struct VmConfig
     /// Install VeilMon + services (Dom-UNT kernel) vs native VMPL-0 CVM.
     bool veilEnabled = true;
     kern::KernelConfig kernel;
-    size_t imageBytes = 128 * 1024;    ///< boot image size
     size_t logBytes = 1 * 1024 * 1024; ///< VeilS-LOG reserved storage
 
     VmConfig()

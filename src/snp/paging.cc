@@ -15,7 +15,8 @@ ptIndex(Gva va, int level)
 }
 
 std::optional<Translation>
-tryWalk(const GuestMemory &mem, Gpa cr3, Gva va, Access access, Cpl cpl)
+tryWalk(const GuestMemory &mem, Gpa cr3, Gva va, Access access, Cpl cpl,
+        const RmpTable *rmp, Vmpl vmpl)
 {
     if (cr3 == 0) {
         // Identity mapping: full supervisor rights, no user access.
@@ -34,6 +35,13 @@ tryWalk(const GuestMemory &mem, Gpa cr3, Gva va, Access access, Cpl cpl)
         Gpa entry_addr = table + ptIndex(va, level) * 8;
         if (!mem.contains(entry_addr, 8))
             return std::nullopt;
+        // VMPL-0 always holds full rights on a validated private page,
+        // so this asks only "is the table the guest's own memory?".
+        if (rmp && !rmp->allowed(Vmpl::Vmpl0, table, Access::Read,
+                                 Cpl::Supervisor)) {
+            throw NpfFault(table, vmpl, Access::Read,
+                           "page-table page RMP violation");
+        }
         entry = mem.readObj<uint64_t>(entry_addr);
         if (!(entry & PtePresent))
             return std::nullopt;
@@ -59,15 +67,17 @@ tryWalk(const GuestMemory &mem, Gpa cr3, Gva va, Access access, Cpl cpl)
 }
 
 Translation
-walk(const GuestMemory &mem, Gpa cr3, Gva va, Access access, Cpl cpl)
+walk(const GuestMemory &mem, Gpa cr3, Gva va, Access access, Cpl cpl,
+     const RmpTable *rmp, Vmpl vmpl)
 {
     // Distinguish not-present from protection faults for fault handlers.
-    auto t = tryWalk(mem, cr3, va, access, cpl);
+    auto t = tryWalk(mem, cr3, va, access, cpl, rmp, vmpl);
     if (t)
         return *t;
     bool present = false;
     if (cr3 != 0) {
-        auto probe = tryWalk(mem, cr3, va, Access::Read, Cpl::Supervisor);
+        auto probe = tryWalk(mem, cr3, va, Access::Read, Cpl::Supervisor,
+                             rmp, vmpl);
         present = probe.has_value();
     }
     throw GuestPageFault(va, access, present);

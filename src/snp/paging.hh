@@ -2,12 +2,13 @@
  * @file
  * Four-level x86-64-style guest page tables (4 KiB leaves only).
  *
- * The walker is "hardware": it reads table pages raw and raises
- * GuestPageFault on missing/insufficient PTEs. PageTableEditor is the
- * software-side helper that kernel / VeilS-ENC use to build and edit
- * address spaces; table frames come from a caller-supplied allocator so
- * the kernel allocates from its pool and VeilS-ENC from protected
- * service memory (the cloned-table design of §6.2).
+ * The walker is "hardware": it reads table pages (RMP-checked when
+ * given the RMP) and raises GuestPageFault on missing/insufficient
+ * PTEs. PageTableEditor is the software-side helper that kernel /
+ * VeilS-ENC use to build and edit address spaces; table frames come
+ * from a caller-supplied allocator so the kernel allocates from its
+ * pool and VeilS-ENC from protected service memory (the cloned-table
+ * design of §6.2).
  */
 #ifndef VEIL_SNP_PAGING_HH_
 #define VEIL_SNP_PAGING_HH_
@@ -71,24 +72,36 @@ struct Translation
     bool huge = false; ///< mapped by a 2 MiB (PS-bit) leaf
 };
 
+class RmpTable;
+
 /**
  * Hardware page walk. Throws GuestPageFault if the mapping is absent or
  * the PTE denies the access for the given CPL. cr3 == 0 selects the
  * identity mapping used by VeilMon and the protected services (their
  * isolation comes from VMPL, not from paging).
+ *
+ * With @p rmp, every table page the walk reads is RMP-checked first:
+ * page-table reads are private accesses, so a table page that is not
+ * the guest's validated private memory (e.g. one the host flipped to
+ * shared) throws NpfFault naming that page, attributed to @p vmpl. The
+ * check is ownership only, not the walker's VMPL permissions, and
+ * charges no simulated cycles.
  */
 Translation walk(const GuestMemory &mem, Gpa cr3, Gva va, Access access,
-                 Cpl cpl);
+                 Cpl cpl, const RmpTable *rmp = nullptr,
+                 Vmpl vmpl = Vmpl::Vmpl0);
 
-/** Non-throwing variant for introspection. */
+/** Variant returning nullopt instead of throwing GuestPageFault (a
+ *  denied table read still throws NpfFault). */
 std::optional<Translation> tryWalk(const GuestMemory &mem, Gpa cr3, Gva va,
-                                   Access access, Cpl cpl);
+                                   Access access, Cpl cpl,
+                                   const RmpTable *rmp = nullptr,
+                                   Vmpl vmpl = Vmpl::Vmpl0);
 
 /** Allocates a zeroed, page-aligned table frame; returns its GPA. */
 using FrameAllocFn = std::function<Gpa()>;
 /** Releases a table frame. */
 using FrameFreeFn = std::function<void(Gpa)>;
-class RmpTable;
 
 /**
  * Software editor for a page-table tree rooted at cr3.

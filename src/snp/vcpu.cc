@@ -24,7 +24,8 @@ Gpa
 Vcpu::translateChecked(Gva va, Access access) const
 {
     const Vmsa &v = vmsa();
-    Translation t = walk(machine_.memory(), v.cr3, va, access, v.cpl);
+    Translation t = walk(machine_.memory(), v.cr3, va, access, v.cpl,
+                         &machine_.rmp(), v.vmpl);
     Gpa page = pageAlignDown(t.gpa);
     // The RMP check is per-4K-page even under a PS-bit leaf: a huge
     // region's 512 entries are kept state-coherent (rmp.hh), so the
@@ -103,15 +104,6 @@ void
 Vcpu::checkExec(Gva va)
 {
     translateChecked(va, Access::Execute);
-}
-
-Gpa
-Vcpu::translate(Gva va, Access access) const
-{
-    // Pure translation, no permission side effects: a #NPF-restricted
-    // page still translates (the kernel translates user pointers into
-    // enclave regions it cannot itself touch).
-    return walk(machine_.memory(), vmsa().cr3, va, access, cpl()).gpa;
 }
 
 void

@@ -65,9 +65,6 @@ class Vcpu
     /** Instruction-fetch check at @p va (NX + RMP exec permission). */
     void checkExec(Gva va);
 
-    /** Translate without access (throws GuestPageFault). */
-    Gpa translate(Gva va, Access access) const;
-
     // ---- Checked physical access (CPL-0 software managing frames) ----
 
     void readPhys(Gpa pa, void *out, size_t len);
@@ -141,7 +138,8 @@ class Vcpu
     /**
      * Combined walk + RMP check: the one translation primitive behind
      * read/write/checkExec. Throws #PF on a paging violation and #NPF
-     * on an RMP violation.
+     * on an RMP violation, of the page or of a table page the walk
+     * reads.
      */
     Gpa translateChecked(Gva va, Access access) const;
 

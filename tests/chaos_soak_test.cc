@@ -285,6 +285,39 @@ TEST(ChaosDirected, RmpFlipOfPageTableHaltsAttributed)
         << vm.machine().haltInfo().reason;
 }
 
+TEST(ChaosDirected, RmpFlipOfWalkedTableHaltsAttributed)
+{
+    // The hardware walk's table reads are private accesses too. A flip
+    // of the leaf table under a live user page must end the next
+    // checked read of that page in an #NPF that names the table page,
+    // not in a #PF on whatever the re-keyed junk "entry" says.
+    VeilVm vm(soakConfig());
+    Gpa table = 0;
+    auto result = vm.run([&vm, &table](Kernel &k, Process &p) {
+        NativeEnv env(k, p);
+        Gva first = env.alloc(4096);
+        GuestMemory &mem = vm.machine().memory();
+        table = p.as->cr3();
+        for (int level = 3; level >= 1; --level) {
+            table = mem.readObj<uint64_t>(table + ptIndex(first, level) * 8) &
+                    kPteAddrMask;
+        }
+        vm.machine().rmp().hvSetShared(table, true);
+        std::vector<uint8_t> junk(kPageSize, 0x5a);
+        mem.write(table, junk.data(), junk.size());
+        uint64_t word = 0;
+        env.copyOut(first, &word, sizeof(word)); // a user-mode read
+    });
+    EXPECT_FALSE(result.terminated);
+    EXPECT_TRUE(result.halted);
+    const HaltInfo &halt = vm.machine().haltInfo();
+    EXPECT_NE(halt.reason.find("unhandled #NPF"), std::string::npos)
+        << halt.reason;
+    EXPECT_NE(halt.reason.find("page-table page"), std::string::npos)
+        << halt.reason;
+    EXPECT_EQ(halt.gpa, table);
+}
+
 TEST(ChaosDirected, RedirectsAndDeadlineFlushSurviveChaos)
 {
     // Satellite: interrupt redirects from enclave execution, the masked

@@ -249,7 +249,6 @@ TEST(FleetSched, WorkStealingDrainsUnevenQueues)
     fc.quantum = 1;
     fc.callsMax = 8;
     fc.seed = 11;
-    fc.workSteal = true;
     FleetManager fm(vm, fc);
     auto run = vm.run([&](Kernel &k, Process &) {
         ASSERT_TRUE(fm.sealTemplate(k));

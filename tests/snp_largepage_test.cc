@@ -205,7 +205,9 @@ TEST_F(LargePageTest, HugeLeafTranslatesEveryOffset)
         EXPECT_EQ(cpu.readObj<uint64_t>(kVa2m + 0x5000), 0x5150u);
         // Every 4 KiB offset resolves through the one 2 MiB leaf.
         for (int i = 0; i < 64; ++i) {
-            EXPECT_EQ(cpu.translate(kVa2m + Gva(i) * 0x1000, Access::Read),
+            EXPECT_EQ(walk(machine->memory(), cr3, kVa2m + Gva(i) * 0x1000,
+                           Access::Read, Cpl::Supervisor)
+                          .gpa,
                       kRegion + Gpa(i) * 0x1000);
         }
     });
