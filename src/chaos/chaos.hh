@@ -154,12 +154,6 @@ class FaultInjector
 
     uint64_t delayCycles() const { return plan_.delayCycles; }
 
-    /** Remaining budget for @p site. */
-    uint32_t budgetLeft(FaultSite site) const
-    {
-        return budget_[static_cast<size_t>(site)];
-    }
-
   private:
     FaultPlan plan_;
     Rng rng_;

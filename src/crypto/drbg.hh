@@ -21,17 +21,6 @@ class HmacDrbg
     /** Generate @p len pseudorandom bytes. */
     Bytes generate(size_t len);
 
-    /** Generate into a fixed array. */
-    template <size_t N>
-    std::array<uint8_t, N>
-    generateArray()
-    {
-        std::array<uint8_t, N> out;
-        Bytes b = generate(N);
-        std::copy(b.begin(), b.end(), out.begin());
-        return out;
-    }
-
     /** Mix additional input into the state. */
     void reseed(const Bytes &material);
 

@@ -20,6 +20,20 @@ HvView::checkShared(Gpa gpa, size_t len) const
     }
 }
 
+bool
+HvView::isShared(Gpa gpa, size_t len) const
+{
+    if (!machine_.memory().contains(gpa, len))
+        return false;
+    Gpa first = pageAlignDown(gpa);
+    Gpa last = pageAlignDown(gpa + (len ? len - 1 : 0));
+    for (Gpa page = first; page <= last; page += kPageSize) {
+        if (!machine_.rmp().isShared(page))
+            return false;
+    }
+    return true;
+}
+
 void
 HvView::read(Gpa gpa, void *out, size_t len) const
 {

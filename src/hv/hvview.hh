@@ -26,6 +26,10 @@ class HvView
     /** Write to shared guest memory; panics on private pages. */
     void write(snp::Gpa gpa, const void *data, size_t len);
 
+    /** True iff [gpa, gpa + len) lies in guest memory and every page
+     *  of it is shared: the range read/write accept. */
+    bool isShared(snp::Gpa gpa, size_t len) const;
+
     snp::Ghcb readGhcb(snp::Gpa gpa) const;
     void writeGhcb(snp::Gpa gpa, const snp::Ghcb &g);
 

@@ -531,13 +531,19 @@ Hypervisor::handleGhcbExit(uint32_t vcpu, VmsaId exiting)
       }
       case GhcbExit::PageStateChange: {
           bool to_shared = g.info[1] != 0;
-          // Grouped multi-entry form (ghcb.hh): info[2] entries of
-          // info[3]-selected size; 0/1 entries is the legacy encoding.
+          // info[2] entries (0 reads as 1) of info[3]-selected size
+          // (ghcb.hh). The guest chose them: a request past the PSC
+          // buffer or guest memory is refused before any RMPUPDATE.
           uint64_t count = g.info[2] > 1 ? g.info[2] : 1;
           bool size2m = g.info[3] != 0;
           Gpa step = size2m ? kPageSize2m : kPageSize;
           Gpa base = size2m ? pageAlignDown2m(g.info[0])
                             : pageAlignDown(g.info[0]);
+          if (count > kPscMaxEntries ||
+              !machine_.memory().contains(base, count * step)) {
+              g.result = static_cast<uint64_t>(HvResult::Denied);
+              break;
+          }
           // Host-side RMPUPDATE needs the completion protocol: run it
           // as exclusive work so every VCPU thread is parked at a safe
           // point (and sees the new entry on resume) before it changes.
@@ -571,8 +577,8 @@ Hypervisor::handleGhcbExit(uint32_t vcpu, VmsaId exiting)
           });
           if (count > 1) {
               // Extra entries ride the one exit: charge the per-entry
-              // parse/RMPUPDATE cost (never reached on the legacy
-              // single-entry path, keeping default cycles untouched).
+              // parse/RMPUPDATE cost (a single entry costs none, keeping
+              // default cycles untouched).
               machine_.charge(machine_.costs().pscPerEntry * (count - 1));
               ++machine_.stats().pscBatches;
               machine_.stats().pscBatchedPages +=
@@ -584,7 +590,7 @@ Hypervisor::handleGhcbExit(uint32_t vcpu, VmsaId exiting)
       case GhcbExit::ConsoleWrite: {
           Gpa buf = g.info[0];
           size_t len = static_cast<size_t>(g.info[1]);
-          if (len > kPageSize) {
+          if (len > kPageSize || !view_.isShared(buf, len)) {
               g.result = static_cast<uint64_t>(HvResult::Denied);
               break;
           }

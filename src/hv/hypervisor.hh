@@ -98,7 +98,6 @@ class Hypervisor
     {
         chaos_ = injector;
     }
-    chaos::FaultInjector *faultInjector() { return chaos_; }
 
     /**
      * Livelock detector for soak runs: run() bails out with

@@ -59,7 +59,6 @@ class RamFs
                 const std::string &new_name);
 
     Ino root() const { return kRoot; }
-    size_t inodeCount() const { return inodes_.size(); }
 
     static constexpr Ino kRoot = 1;
 

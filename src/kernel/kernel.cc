@@ -156,9 +156,6 @@ Kernel::validateAllMemoryNative(Vcpu &cpu)
         return lazy && !any_assigned;
     };
 
-    // GHCB PSC buffer capacity (entries per grouped request).
-    constexpr uint64_t kPscMaxEntries = 253;
-
     Gpa p = 0;
     while (p < layout_.memEnd) {
         bool unassigned = false;
@@ -580,13 +577,6 @@ Kernel::invokeModule(int64_t handle)
     conAppend(strfmt("[module %lld] hello from module\n",
                      (long long)handle));
     return 0;
-}
-
-Gva
-Kernel::moduleEntry(int64_t handle) const
-{
-    auto it = modules_.find(handle);
-    return it == modules_.end() ? 0 : it->second.entry;
 }
 
 Gpa
@@ -1744,10 +1734,8 @@ Kernel::sysMprotect(Process &p, Gva addr, uint64_t len, int prot)
         callService(m);
         return okStatus(m) ? 0 : -kEACCES;
     }
-    for (Gva va = addr; va < hi; va += kPageSize) {
-        if (p.as->userLeaf(va))
-            p.as->protectUser(va, prot);
-    }
+    for (Gva va = addr; va < hi; va += kPageSize)
+        p.as->protectUser(va, prot);
     vma->prot = prot;
     if (p.enclave && p.enclave->alive) {
         IdcbMessage m;
@@ -1961,12 +1949,6 @@ Kernel::sysClockGettime(Process &p, Gva out)
     ts.nsec = static_cast<int64_t>((secs - double(ts.sec)) * 1e9);
     c.writeObj(out, ts);
     return 0;
-}
-
-uint64_t
-Kernel::syscallBaseCost(uint32_t no) const
-{
-    return 2000; // unused placeholder; bodies charge their own costs
 }
 
 } // namespace veil::kern

@@ -201,7 +201,6 @@ class Kernel
     int64_t unloadModule(int64_t handle);
     /** Execute the module entry (exec-checked fetch + banner print). */
     int64_t invokeModule(int64_t handle);
-    snp::Gva moduleEntry(int64_t handle) const;
     snp::Gpa moduleText(int64_t handle) const;
 
     // ---- §6.2 enclave driver ----
@@ -251,7 +250,6 @@ class Kernel
     void conAppend(const std::string &s);
     void pageStateChange(snp::Gpa page, bool shared);
     void auditHook(Process &proc, uint32_t no, const uint64_t args[6]);
-    uint64_t syscallBaseCost(uint32_t no) const;
 
     // ---- Batched VeilOp submission (exit-less service calls, §11) ----
     enum class OpFlushTrigger { Size, Deadline, Barrier };

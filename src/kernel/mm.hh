@@ -164,6 +164,8 @@ class AddressSpace
     void mapUser(snp::Gva va, snp::Gpa pa, int prot);
     /** Unmap one user page; returns backing frame if present. */
     std::optional<snp::Gpa> unmapUser(snp::Gva va);
+    /** Change one user page's permissions; an unmapped @p va is left
+     *  unmapped. */
     void protectUser(snp::Gva va, int prot);
     std::optional<uint64_t> userLeaf(snp::Gva va) const;
 

@@ -13,6 +13,7 @@
 
 #include <stdexcept>
 
+#include "base/log.hh"
 #include "snp/types.hh"
 
 namespace veil::snp {
@@ -22,7 +23,8 @@ class NpfFault : public std::runtime_error
 {
   public:
     NpfFault(Gpa gpa, Vmpl vmpl, Access access, const std::string &detail)
-        : std::runtime_error("NPF at GPA 0x" + std::to_string(gpa) + " (" +
+        : std::runtime_error(strfmt("NPF at GPA 0x%llx (",
+                                    (unsigned long long)gpa) +
                              toString(vmpl) + ", " + toString(access) + "): " +
                              detail),
           gpa(gpa), vmpl(vmpl), access(access)
@@ -38,7 +40,8 @@ class GuestPageFault : public std::runtime_error
 {
   public:
     GuestPageFault(Gva gva, Access access, bool present)
-        : std::runtime_error("PF at GVA 0x" + std::to_string(gva) + " (" +
+        : std::runtime_error(strfmt("PF at GVA 0x%llx (",
+                                    (unsigned long long)gva) +
                              toString(access) + (present ? ", protection)"
                                                          : ", not-present)")),
           gva(gva), access(access), present(present)

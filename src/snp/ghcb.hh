@@ -30,16 +30,18 @@ enum class GhcbExit : uint64_t {
     /// info[1] = VMPL.
     StartVcpu = 3,
     /// Page-state change: info[0] = GPA, info[1] = 1 for shared,
-    /// 0 for private. Grouped multi-entry form (lazy acceptance,
-    /// DESIGN.md §14): info[2] = number of consecutive entries (0 or 1
-    /// means the legacy single-page request, byte-identical encoding),
-    /// info[3] = 1 when the entries are 2 MiB regions (info[0] then
-    /// 2 MiB-aligned) instead of 4 KiB pages. A to-private change on an
-    /// unassigned page performs the RMPUPDATE assign (unaccepted-memory
-    /// acceptance) before flipping state.
+    /// 0 for private, info[2] = number of consecutive entries (0 reads
+    /// as 1, at most kPscMaxEntries), info[3] = 1 when the entries are
+    /// 2 MiB regions (info[0] then 2 MiB-aligned) instead of 4 KiB
+    /// pages (grouped lazy acceptance, DESIGN.md §14). The hypervisor
+    /// denies a request whose count exceeds the bound or whose range
+    /// leaves guest memory. A to-private change on an unassigned page
+    /// performs the RMPUPDATE assign (unaccepted-memory acceptance)
+    /// before flipping state.
     PageStateChange = 4,
     /// Guest console output: info[0] = GPA of shared buffer,
-    /// info[1] = length.
+    /// info[1] = length (at most one page; denied unless every byte is
+    /// shared guest memory).
     ConsoleWrite = 5,
     /// Orderly VM termination. info[0] = exit status.
     Terminate = 6,
@@ -59,6 +61,10 @@ struct Ghcb
 static_assert(sizeof(Ghcb) <= kPageSize, "GHCB must fit in one page");
 
 constexpr Gpa kNoGhcb = ~Gpa(0);
+
+/** Maximum entries in one PageStateChange request (the GHCB spec's PSC
+ *  buffer holds 253 entries). */
+constexpr uint64_t kPscMaxEntries = 253;
 
 /**
  * Sentinel the guest writes into Ghcb::result before VMGEXIT. A

@@ -177,7 +177,6 @@ class Machine
         }
         chargeMt(cycles);
     }
-    double secondsAt(uint64_t cycles) const { return costs().seconds(cycles); }
 
     trace::Tracer &tracer() { return tracer_; }
     const trace::Tracer &tracer() const { return tracer_; }

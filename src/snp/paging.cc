@@ -14,18 +14,38 @@ ptIndex(Gva va, int level)
     return static_cast<unsigned>((va >> (kPageShift + 9 * level)) & 0x1ff);
 }
 
-std::optional<Translation>
-tryWalk(const GuestMemory &mem, Gpa cr3, Gva va, Access access, Cpl cpl,
-        const RmpTable *rmp, Vmpl vmpl)
+namespace {
+
+/** The 4 KiB PTE a split of the 2 MiB leaf @p huge holds for @p va:
+ *  the region frame plus the page's offset in it, PS clear. */
+uint64_t
+pteIn2m(uint64_t huge, Gva va)
+{
+    uint64_t attrs = huge & ~(kPteAddrMask2m | uint64_t(PtePs));
+    return attrs |
+           ((huge & kPteAddrMask2m) + (pageAlignDown(va) & (kPageSize2m - 1)));
+}
+
+/** Outcome of the hardware walk. */
+struct WalkOutcome
+{
+    std::optional<Translation> t; ///< set iff the access is permitted
+    bool present = false;         ///< a present leaf denied the access
+};
+
+/** The one hardware walk, shared by tryWalk and walk. */
+WalkOutcome
+hwWalk(const GuestMemory &mem, Gpa cr3, Gva va, Access access, Cpl cpl,
+       const RmpTable *rmp, Vmpl vmpl)
 {
     if (cr3 == 0) {
         // Identity mapping: full supervisor rights, no user access.
         if (cpl == Cpl::User)
-            return std::nullopt;
+            return {};
         Gpa pa = va;
         if (!mem.contains(pa, 1))
-            return std::nullopt;
-        return Translation{pa, PtePresent | PteWrite};
+            return {};
+        return {Translation{pa, PtePresent | PteWrite}};
     }
 
     Gpa table = cr3;
@@ -34,7 +54,7 @@ tryWalk(const GuestMemory &mem, Gpa cr3, Gva va, Access access, Cpl cpl,
     for (int level = 3; level >= 0; --level) {
         Gpa entry_addr = table + ptIndex(va, level) * 8;
         if (!mem.contains(entry_addr, 8))
-            return std::nullopt;
+            return {};
         // VMPL-0 always holds full rights on a validated private page,
         // so this asks only "is the table the guest's own memory?".
         if (rmp && !rmp->allowed(Vmpl::Vmpl0, table, Access::Read,
@@ -44,7 +64,7 @@ tryWalk(const GuestMemory &mem, Gpa cr3, Gva va, Access access, Cpl cpl,
         }
         entry = mem.readObj<uint64_t>(entry_addr);
         if (!(entry & PtePresent))
-            return std::nullopt;
+            return {};
         if (level == 1 && (entry & PtePs)) {
             // PS-bit 2 MiB leaf: the walk stops one level early.
             huge = true;
@@ -54,33 +74,33 @@ tryWalk(const GuestMemory &mem, Gpa cr3, Gva va, Access access, Cpl cpl,
     }
 
     // Leaf permission checks.
-    if (cpl == Cpl::User && !(entry & PteUser))
-        return std::nullopt;
-    if (access == Access::Write && !(entry & PteWrite))
-        return std::nullopt;
-    if (access == Access::Execute && (entry & PteNx))
-        return std::nullopt;
+    if ((cpl == Cpl::User && !(entry & PteUser)) ||
+        (access == Access::Write && !(entry & PteWrite)) ||
+        (access == Access::Execute && (entry & PteNx)))
+        return {std::nullopt, true};
 
     Gpa pa = huge ? ((entry & kPteAddrMask2m) | (va & (kPageSize2m - 1)))
                   : ((entry & kPteAddrMask) | (va & (kPageSize - 1)));
-    return Translation{pa, entry, huge};
+    return {Translation{pa, entry, huge}};
+}
+
+} // namespace
+
+std::optional<Translation>
+tryWalk(const GuestMemory &mem, Gpa cr3, Gva va, Access access, Cpl cpl,
+        const RmpTable *rmp, Vmpl vmpl)
+{
+    return hwWalk(mem, cr3, va, access, cpl, rmp, vmpl).t;
 }
 
 Translation
 walk(const GuestMemory &mem, Gpa cr3, Gva va, Access access, Cpl cpl,
      const RmpTable *rmp, Vmpl vmpl)
 {
-    // Distinguish not-present from protection faults for fault handlers.
-    auto t = tryWalk(mem, cr3, va, access, cpl, rmp, vmpl);
-    if (t)
-        return *t;
-    bool present = false;
-    if (cr3 != 0) {
-        auto probe = tryWalk(mem, cr3, va, Access::Read, Cpl::Supervisor,
-                             rmp, vmpl);
-        present = probe.has_value();
-    }
-    throw GuestPageFault(va, access, present);
+    WalkOutcome w = hwWalk(mem, cr3, va, access, cpl, rmp, vmpl);
+    if (!w.t)
+        throw GuestPageFault(va, access, w.present);
+    return *w.t;
 }
 
 PageTableEditor::PageTableEditor(GuestMemory &mem, FrameAllocFn alloc,
@@ -99,58 +119,74 @@ PageTableEditor::checkTable(Gpa table, Access access) const
 }
 
 Gpa
-PageTableEditor::createRoot()
+PageTableEditor::newTable()
 {
-    Gpa root = alloc_();
-    ensure(isPageAligned(root), "PageTableEditor: unaligned table frame");
-    checkTable(root, Access::Write);
-    mem_.zeroPage(root);
-    return root;
-}
-
-Gpa
-PageTableEditor::ensureTable(Gpa table, unsigned idx)
-{
-    checkTable(table, Access::Write);
-    Gpa entry_addr = table + idx * 8;
-    uint64_t entry = mem_.readObj<uint64_t>(entry_addr);
-    if (entry & PtePresent)
-        return entry & kPteAddrMask;
     Gpa frame = alloc_();
+    ensure(isPageAligned(frame), "PageTableEditor: unaligned table frame");
     checkTable(frame, Access::Write);
     mem_.zeroPage(frame);
-    // Interior entries carry the most permissive flags; leaves restrict.
-    uint64_t e = (frame & kPteAddrMask) | PtePresent | PteWrite | PteUser;
-    mem_.writeObj<uint64_t>(entry_addr, e);
     return frame;
 }
 
 Gpa
-PageTableEditor::ensureLeafTable(Gpa table, Gva va)
+PageTableEditor::createRoot()
 {
+    return newTable();
+}
+
+std::optional<Gpa>
+PageTableEditor::entryAt(Gpa cr3, Gva va, int stop_level, bool create)
+{
+    // Interior entries carry the most permissive flags; leaves restrict.
+    auto link = [](Gpa child) {
+        return (child & kPteAddrMask) | PtePresent | PteWrite | PteUser;
+    };
+    Gpa table = cr3;
     checkTable(table, Access::Write);
-    Gpa entry_addr = table + ptIndex(va, 1) * 8;
-    uint64_t entry = mem_.readObj<uint64_t>(entry_addr);
-    if ((entry & PtePresent) && (entry & PtePs)) {
-        // Split the 2 MiB leaf: a fresh L0 table whose 512 entries
-        // replicate the region translation at 4 KiB granularity with
-        // identical attribute bits, so no access outcome changes — the
-        // caller's 4 KiB edit then lands in the new table.
-        Gpa l0 = alloc_();
-        checkTable(l0, Access::Write);
-        mem_.zeroPage(l0);
-        uint64_t attrs = entry & ~(kPteAddrMask2m | uint64_t(PtePs));
-        Gpa frame = entry & kPteAddrMask2m;
-        for (unsigned i = 0; i < 512; ++i) {
-            mem_.writeObj<uint64_t>(l0 + i * 8,
-                                    attrs | (frame + Gpa(i) * kPageSize));
+    for (int level = 3;; --level) {
+        Gpa entry_addr = table + ptIndex(va, level) * 8;
+        if (level == stop_level)
+            return entry_addr;
+        uint64_t entry = mem_.readObj<uint64_t>(entry_addr);
+        if (!(entry & PtePresent)) {
+            if (!create)
+                return std::nullopt;
+            table = newTable();
+            mem_.writeObj<uint64_t>(entry_addr, link(table));
+        } else if (level == 1 && (entry & PtePs)) {
+            // Split the 2 MiB leaf: a fresh L0 table whose 512 entries
+            // replicate the region translation at 4 KiB granularity with
+            // identical attribute bits, so no access outcome changes —
+            // the caller's 4 KiB edit then lands in the new table.
+            table = newTable();
+            for (unsigned i = 0; i < 512; ++i) {
+                mem_.writeObj<uint64_t>(table + i * 8,
+                                        pteIn2m(entry, Gva(i) * kPageSize));
+            }
+            mem_.writeObj<uint64_t>(entry_addr, link(table));
+        } else {
+            table = entry & kPteAddrMask;
+            checkTable(table, Access::Write);
         }
-        mem_.writeObj<uint64_t>(entry_addr, (l0 & kPteAddrMask) |
-                                                PtePresent | PteWrite |
-                                                PteUser);
-        return l0;
     }
-    return ensureTable(table, ptIndex(va, 1));
+}
+
+std::optional<PageTableEditor::Entry>
+PageTableEditor::findEntry(Gpa cr3, Gva va) const
+{
+    Gpa table = cr3;
+    for (int level = 3;; --level) {
+        checkTable(table, Access::Read);
+        uint64_t entry =
+            mem_.readObj<uint64_t>(table + ptIndex(va, level) * 8);
+        if (!(entry & PtePresent))
+            return std::nullopt;
+        if (level == 0)
+            return Entry{entry, false};
+        if (level == 1 && (entry & PtePs))
+            return Entry{entry, true};
+        table = entry & kPteAddrMask;
+    }
 }
 
 void
@@ -158,12 +194,7 @@ PageTableEditor::map(Gpa cr3, Gva va, Gpa pa, PageFlags flags)
 {
     ensure(isPageAligned(va) && isPageAligned(pa),
            "PageTableEditor::map: unaligned");
-    Gpa table = cr3;
-    for (int level = 3; level >= 2; --level)
-        table = ensureTable(table, ptIndex(va, level));
-    table = ensureLeafTable(table, va);
-    checkTable(table, Access::Write);
-    mem_.writeObj<uint64_t>(table + ptIndex(va, 0) * 8, flags.toPte(pa));
+    mem_.writeObj<uint64_t>(*entryAt(cr3, va, 0, true), flags.toPte(pa));
 }
 
 void
@@ -171,11 +202,7 @@ PageTableEditor::map2m(Gpa cr3, Gva va, Gpa pa, PageFlags flags)
 {
     ensure(isPageAligned2m(va) && isPageAligned2m(pa),
            "PageTableEditor::map2m: unaligned");
-    Gpa table = cr3;
-    for (int level = 3; level >= 2; --level)
-        table = ensureTable(table, ptIndex(va, level));
-    checkTable(table, Access::Write);
-    Gpa entry_addr = table + ptIndex(va, 1) * 8;
+    Gpa entry_addr = *entryAt(cr3, va, 1, true);
     uint64_t old = mem_.readObj<uint64_t>(entry_addr);
     // Replacing a live L0 subtree would leak its table frame; callers
     // map huge leaves only into empty (or huge) slots.
@@ -187,84 +214,38 @@ PageTableEditor::map2m(Gpa cr3, Gva va, Gpa pa, PageFlags flags)
 std::optional<Gpa>
 PageTableEditor::unmap(Gpa cr3, Gva va)
 {
-    Gpa table = cr3;
-    for (int level = 3; level >= 1; --level) {
-        checkTable(table, Access::Write);
-        uint64_t entry =
-            mem_.readObj<uint64_t>(table + ptIndex(va, level) * 8);
-        if (!(entry & PtePresent))
-            return std::nullopt;
-        if (level == 1 && (entry & PtePs)) {
-            // Unmapping one page of a huge leaf: split, then drop the
-            // 4 KiB entry from the new L0 table.
-            table = ensureLeafTable(table, va);
-            break;
-        }
-        table = entry & kPteAddrMask;
-    }
-    checkTable(table, Access::Write);
-    Gpa leaf_addr = table + ptIndex(va, 0) * 8;
-    uint64_t entry = mem_.readObj<uint64_t>(leaf_addr);
+    // Unmapping one page of a huge leaf splits it, then drops the 4 KiB
+    // entry from the new L0 table.
+    auto entry_addr = entryAt(cr3, va, 0, false);
+    if (!entry_addr)
+        return std::nullopt;
+    uint64_t entry = mem_.readObj<uint64_t>(*entry_addr);
     if (!(entry & PtePresent))
         return std::nullopt;
-    mem_.writeObj<uint64_t>(leaf_addr, 0);
+    mem_.writeObj<uint64_t>(*entry_addr, 0);
     return entry & kPteAddrMask;
 }
 
-void
+std::optional<uint64_t>
 PageTableEditor::protect(Gpa cr3, Gva va, PageFlags flags)
 {
-    auto old = leaf(cr3, va);
-    if (!old)
-        fatal("PageTableEditor::protect: page not mapped");
-    map(cr3, va, *old & kPteAddrMask, flags);
+    auto entry_addr = entryAt(cr3, va, 0, false);
+    if (!entry_addr)
+        return std::nullopt;
+    uint64_t old = mem_.readObj<uint64_t>(*entry_addr);
+    if (!(old & PtePresent))
+        return std::nullopt;
+    mem_.writeObj<uint64_t>(*entry_addr, flags.toPte(old & kPteAddrMask));
+    return old;
 }
 
 std::optional<uint64_t>
 PageTableEditor::leaf(Gpa cr3, Gva va) const
 {
-    Gpa table = cr3;
-    for (int level = 3; level >= 1; --level) {
-        checkTable(table, Access::Read);
-        uint64_t entry =
-            mem_.readObj<uint64_t>(table + ptIndex(va, level) * 8);
-        if (!(entry & PtePresent))
-            return std::nullopt;
-        if (level == 1 && (entry & PtePs)) {
-            // Synthesize the 4 KiB view of the huge leaf: region frame
-            // plus the VA's page offset, PS clear — byte-identical to
-            // what the corresponding L0 entry would hold after a split.
-            uint64_t attrs = entry & ~(kPteAddrMask2m | uint64_t(PtePs));
-            Gpa frame = (entry & kPteAddrMask2m) +
-                        (pageAlignDown(va) & (kPageSize2m - 1));
-            return attrs | frame;
-        }
-        table = entry & kPteAddrMask;
-    }
-    checkTable(table, Access::Read);
-    uint64_t entry = mem_.readObj<uint64_t>(table + ptIndex(va, 0) * 8);
-    if (!(entry & PtePresent))
+    auto e = findEntry(cr3, va);
+    if (!e)
         return std::nullopt;
-    return entry;
-}
-
-std::optional<uint64_t>
-PageTableEditor::leaf2m(Gpa cr3, Gva va) const
-{
-    Gpa table = cr3;
-    for (int level = 3; level >= 2; --level) {
-        checkTable(table, Access::Read);
-        uint64_t entry =
-            mem_.readObj<uint64_t>(table + ptIndex(va, level) * 8);
-        if (!(entry & PtePresent))
-            return std::nullopt;
-        table = entry & kPteAddrMask;
-    }
-    checkTable(table, Access::Read);
-    uint64_t entry = mem_.readObj<uint64_t>(table + ptIndex(va, 1) * 8);
-    if (!(entry & PtePresent) || !(entry & PtePs))
-        return std::nullopt;
-    return entry;
+    return e->huge ? pteIn2m(e->pte, va) : e->pte;
 }
 
 void
@@ -296,11 +277,9 @@ PageTableEditor::forEachLeafIn(
             cb(va, entry);
         } else if (level == 1 && (entry & PtePs)) {
             // The 4 KiB view of a huge leaf, as leaf() synthesizes it.
-            uint64_t attrs = entry & ~(kPteAddrMask2m | uint64_t(PtePs));
-            Gpa frame = entry & kPteAddrMask2m;
             for (Gva p = std::max(va, lo); p < std::min(va + span, hi);
                  p += kPageSize)
-                cb(p, attrs | (frame + (p - va)));
+                cb(p, pteIn2m(entry, p));
         } else {
             forEachLeafIn(entry & kPteAddrMask, level - 1, va, lo, hi, cb);
         }

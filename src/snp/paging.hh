@@ -1,6 +1,7 @@
 /**
  * @file
- * Four-level x86-64-style guest page tables (4 KiB leaves only).
+ * Four-level x86-64-style guest page tables (4 KiB leaves, plus 2 MiB
+ * PS-bit leaves at level 1).
  *
  * The walker is "hardware": it reads table pages (RMP-checked when
  * given the RMP) and raises GuestPageFault on missing/insufficient
@@ -8,7 +9,8 @@
  * VeilS-ENC use to build and edit address spaces; table frames come
  * from a caller-supplied allocator so the kernel allocates from its
  * pool and VeilS-ENC from protected service memory (the cloned-table
- * design of §6.2).
+ * design of §6.2). Each direction is one descent: the walk, the
+ * editor's writing descent (entryAt) and its reading one (findEntry).
  */
 #ifndef VEIL_SNP_PAGING_HH_
 #define VEIL_SNP_PAGING_HH_
@@ -140,17 +142,16 @@ class PageTableEditor
     /** Unmap one page; returns the old PA if it was mapped. */
     std::optional<Gpa> unmap(Gpa cr3, Gva va);
 
-    /** Change leaf flags; throws FatalError if not mapped. */
-    void protect(Gpa cr3, Gva va, PageFlags flags);
+    /** Change the leaf flags of a mapped page (splitting a 2 MiB leaf
+     *  first); returns the old (4 KiB) PTE. An unmapped @p va returns
+     *  nullopt and changes nothing. */
+    std::optional<uint64_t> protect(Gpa cr3, Gva va, PageFlags flags);
 
     /** Leaf PTE at @p va, if present. Inside a 2 MiB leaf this
      *  synthesizes the 4 KiB-equivalent PTE (region frame + offset, PS
      *  clear) so per-page callers (CoW, eviction) see exactly what a
      *  split would yield. */
     std::optional<uint64_t> leaf(Gpa cr3, Gva va) const;
-
-    /** The raw 2 MiB leaf covering @p va, if one exists. */
-    std::optional<uint64_t> leaf2m(Gpa cr3, Gva va) const;
 
     /**
      * Visit every present leaf in [lo, hi): cb(va, pte). Used by
@@ -163,10 +164,26 @@ class PageTableEditor
     void destroyRoot(Gpa cr3);
 
   private:
-    Gpa ensureTable(Gpa table, unsigned idx);
-    /** Level-1 descent for 4 KiB edits: creates a missing L0 table and
-     *  splits a 2 MiB leaf into one (512 replicated PTEs). */
-    Gpa ensureLeafTable(Gpa table, Gva va);
+    /** A present leaf found by findEntry. */
+    struct Entry
+    {
+        uint64_t pte;
+        bool huge; ///< a level-1 2 MiB leaf, not a level-0 entry
+    };
+
+    /** Allocate, write-check and zero one table frame. */
+    Gpa newTable();
+    /**
+     * The writing descent: the GPA of @p va's entry in its level
+     * @p stop_level table. Write-checks each table once. A missing
+     * table is allocated (@p create) or ends the descent (nullopt);
+     * with @p stop_level 0, a 2 MiB leaf on the way is split into a
+     * 512-entry L0 table with the same translations.
+     */
+    std::optional<Gpa> entryAt(Gpa cr3, Gva va, int stop_level, bool create);
+    /** The reading descent: read-checks each table and stops at a
+     *  present L0 entry or 2 MiB leaf. */
+    std::optional<Entry> findEntry(Gpa cr3, Gva va) const;
     void destroyLevel(Gpa table, int level);
     void forEachLeafIn(Gpa table, int level, Gva base, Gva lo, Gva hi,
                        const std::function<void(Gva, uint64_t)> &cb) const;

@@ -49,9 +49,6 @@ class Psp
     /** The platform certificate chain served with every report. */
     const attest::CertChain &certChain() const { return keys_.certChain(); }
 
-    /** Public trust anchor (what the vendor publishes). */
-    const Bytes &rootPublicKey() const { return keys_.rootPublic(); }
-
     /** Current platform TCB version. */
     uint64_t tcbVersion() const { return keys_.tcbVersion(); }
 

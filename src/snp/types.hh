@@ -63,12 +63,6 @@ pageAlignDown2m(Gpa a)
     return a & ~Gpa(kPageSize2m - 1);
 }
 
-constexpr Gpa
-pageAlignUp2m(Gpa a)
-{
-    return (a + kPageSize2m - 1) & ~Gpa(kPageSize2m - 1);
-}
-
 constexpr bool
 isPageAligned2m(Gpa a)
 {

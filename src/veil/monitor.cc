@@ -15,10 +15,6 @@ namespace {
 /// Cycle cost of the monitor's DH key generation + shared-secret
 /// computation during channel establishment (one-time, boot-path).
 constexpr uint64_t kDhComputeCycles = 3'000'000;
-
-/// Maximum entries in one grouped PageStateChange request (the GHCB
-/// spec's PSC buffer holds 253 entries).
-constexpr uint64_t kPscMaxEntries = 253;
 } // namespace
 
 VeilMon::VeilMon(Machine &machine, const CvmLayout &layout)
@@ -454,23 +450,6 @@ VeilMon::opPageStateChange(Vcpu &cpu, IdcbMessage &msg)
     g.exitCode = static_cast<uint64_t>(GhcbExit::PageStateChange);
     g.info[0] = page;
     g.info[1] = to_shared ? 1 : 0;
-
-    if (count <= 1 && !size2m) {
-        // Legacy single-page form: exact historical sequence.
-        if (to_shared) {
-            if (machine_.rmp().isValidated(page))
-                cpu.pvalidate(page, false);
-            cpu.hypercall(g);
-        } else {
-            cpu.hypercall(g);
-            cpu.pvalidate(page, true);
-            cpu.rmpadjust(page, Vmpl::Vmpl1, kPermRw, /*warm=*/true);
-            cpu.rmpadjust(page, Vmpl::Vmpl3, kPermAll, /*warm=*/true);
-        }
-        msg.status = static_cast<uint64_t>(VeilStatus::Ok);
-        return;
-    }
-
     g.info[2] = count;
     g.info[3] = size2m ? 1 : 0;
     RmpTable &rmp = machine_.rmp();

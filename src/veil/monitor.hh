@@ -114,9 +114,6 @@ class VeilMon
     /** True while a user session holds the channel. */
     bool sessionActive() const { return sessionActive_; }
 
-    /** The vTPM-style measured-boot register bank (§15). */
-    const MeasuredBoot &measuredBoot() const { return mboot_; }
-
     const CvmLayout &layout() const { return layout_; }
 
   private:

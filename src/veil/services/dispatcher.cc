@@ -46,7 +46,6 @@ ServiceDispatcher::srvLoop(Vcpu &cpu)
             m.requesterVmpl = 3;
             dispatch(cpu, m);
             idcbReply(cpu, layout_.osSrvIdcb(vcpu), m);
-            ++served_;
         }
         domainSwitch(cpu, Vmpl::Vmpl3);
     }
@@ -128,7 +127,6 @@ ServiceDispatcher::drainOpRing(Vcpu &cpu)
         cpu.writePhys(sub + offsetof(RingHeader, tail), &sh.tail,
                       sizeof(sh.tail));
         ++res.drained;
-        ++ringOps_;
     }
     return res;
 }

@@ -8,7 +8,6 @@
 #ifndef VEIL_VEIL_SERVICES_DISPATCHER_HH_
 #define VEIL_VEIL_SERVICES_DISPATCHER_HH_
 
-#include "base/stat_counter.hh"
 #include "veil/services/enc.hh"
 #include "veil/services/kci.hh"
 #include "veil/services/log.hh"
@@ -29,10 +28,6 @@ class ServiceDispatcher
     EncService &enc() { return enc_; }
     LogService &log() { return log_; }
 
-    uint64_t requestsServed() const { return served_; }
-    /** Ops consumed from the VeilOp submission rings (§11). */
-    uint64_t ringOpsServed() const { return ringOps_; }
-
   private:
     /** One drainOpRing pass over a VCPU's submission ring. */
     struct DrainResult
@@ -50,9 +45,6 @@ class ServiceDispatcher
     KciService kci_;
     EncService enc_;
     LogService log_;
-    // Bumped by every VCPU's service loop (multicore: concurrently).
-    base::StatCounter served_;
-    base::StatCounter ringOps_;
 };
 
 } // namespace veil::core

@@ -94,15 +94,6 @@ EncService::snapshot(uint64_t id) const
     return it == snapshots_.end() ? nullptr : &it->second;
 }
 
-size_t
-EncService::liveSnapshots() const
-{
-    size_t n = 0;
-    for (const auto &[id, s] : snapshots_)
-        n += s.alive;
-    return n;
-}
-
 void
 EncService::lockMt(Vcpu &cpu)
 {
@@ -489,21 +480,19 @@ EncService::opMprotect(Vcpu &cpu, IdcbMessage &msg)
         msg.status = static_cast<uint64_t>(VeilStatus::BadArgs);
         return;
     }
+    PageFlags f;
+    f.user = true;
+    f.write = prot & 1;
+    f.exec = prot & 2;
+    PermMask m = PermRead;
+    if (f.write)
+        m |= PermWrite;
+    if (f.exec)
+        m |= PermUserExec;
     for (Gva p = va; p < va + len; p += kPageSize) {
-        auto leaf = srvEditor_.leaf(e.cloneCr3, p);
-        if (!leaf)
-            continue;
-        PageFlags f;
-        f.user = true;
-        f.write = prot & 1;
-        f.exec = prot & 2;
-        srvEditor_.protect(e.cloneCr3, p, f);
-        PermMask m = PermRead;
-        if (f.write)
-            m |= PermWrite;
-        if (f.exec)
-            m |= PermUserExec;
-        cpu.rmpadjust(*leaf & kPteAddrMask, Vmpl::Vmpl2, m, /*warm=*/true);
+        auto old = srvEditor_.protect(e.cloneCr3, p, f);
+        if (old)
+            cpu.rmpadjust(*old & kPteAddrMask, Vmpl::Vmpl2, m, /*warm=*/true);
     }
     msg.status = static_cast<uint64_t>(VeilStatus::Ok);
 }
@@ -537,8 +526,9 @@ EncService::opSyncPerms(Vcpu &cpu, IdcbMessage &msg)
         if (!os_leaf || !(*os_leaf & PteUser))
             continue;
         Gpa pa = *os_leaf & kPteAddrMask;
-        if (allEnclaveFrames_.count(pa))
-            continue; // never alias an enclave frame
+        if (allEnclaveFrames_.count(pa) || pa >= machine_.memory().size())
+            continue; // never alias an enclave frame or name a frame
+                      // beyond guest memory
         PageFlags f;
         f.user = true;
         f.write = prot & 1;

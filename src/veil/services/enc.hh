@@ -122,7 +122,6 @@ class EncService
     const EnclaveInfo *info(uint64_t id) const;
     size_t liveEnclaves() const;
     const SnapshotInfo *snapshot(uint64_t id) const;
-    size_t liveSnapshots() const;
 
   private:
     void opCreate(snp::Vcpu &cpu, IdcbMessage &msg);

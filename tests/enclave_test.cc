@@ -511,6 +511,39 @@ TEST(Enclave, UserLeafBeyondGuestMemoryFailsInit)
     });
 }
 
+TEST(Enclave, SyncPermsRefusesLeafBeyondGuestMemory)
+{
+    inVm(testConfig(), [](VeilVm &vm, Kernel &k, Process &p, NativeEnv &env) {
+        EnclaveHost host(env, vm.programs());
+        ASSERT_TRUE(host.create([](Env &) -> int64_t { return 0; }));
+        // Malicious OS: after the enclave exists, it writes a user PTE
+        // naming a frame beyond guest memory and asks VeilS-ENC to
+        // mirror it into the clone. The page is refused like an
+        // enclave-frame alias: nothing is mapped, the RMP is not asked.
+        const Gva stray = 0x6000000;
+        ASSERT_FALSE(p.as->userLeaf(stray).has_value());
+        Gpa beyond = vm.machine().memory().size() + 16 * kPageSize;
+        p.as->mapUser(stray, beyond, kPROT_READ | kPROT_WRITE);
+
+        core::IdcbMessage m;
+        m.op = static_cast<uint32_t>(core::VeilOp::EncSyncPerms);
+        m.args[0] = host.enclaveId();
+        m.args[1] = stray;
+        m.args[2] = kPageSize;
+        m.args[3] = 1; // read + write
+        k.callService(m);
+        EXPECT_EQ(m.status, static_cast<uint64_t>(core::VeilStatus::Ok));
+        const core::EnclaveInfo *info =
+            vm.services().enc().info(host.enclaveId());
+        ASSERT_NE(info, nullptr);
+        EXPECT_FALSE(tryWalk(vm.machine().memory(), info->cloneCr3, stray,
+                             Access::Read, Cpl::User)
+                         .has_value());
+        p.as->unmapUser(stray); // never the allocator's frame
+        EXPECT_EQ(host.call(), 0);
+    });
+}
+
 TEST(Enclave, MprotectInsideEnclaveMediatedByService)
 {
     inVm(testConfig(), [](VeilVm &vm, Kernel &k, Process &p, NativeEnv &env) {

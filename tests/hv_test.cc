@@ -238,6 +238,64 @@ TEST_F(HvTest, PageStateChangeFlipsSharedBit)
     EXPECT_EQ(hyper->stats().pageStateChanges, 1u);
 }
 
+TEST_F(HvTest, PageStateChangePastGuestMemoryDenied)
+{
+    // 1M entries from 0x7000 run past the 8 MiB of guest memory (and
+    // past the PSC buffer bound); a 2 MiB entry at the end of memory
+    // leaves it too; 254 4 KiB entries fit in memory but exceed the
+    // bound. All three are refused before any RMPUPDATE.
+    uint64_t too_many = 0, past_end = 0, at_bound = 0;
+    VmsaId boot = launch([&](Vcpu &cpu) {
+        Ghcb g;
+        g.exitCode = static_cast<uint64_t>(GhcbExit::PageStateChange);
+        g.info[0] = 0x7000;
+        g.info[1] = 1;
+        g.info[2] = 1 << 20;
+        too_many = cpu.hypercall(g);
+        g.info[0] = 8 * 1024 * 1024;
+        g.info[2] = 1;
+        g.info[3] = 1;
+        past_end = cpu.hypercall(g);
+        g.info[0] = 0x7000;
+        g.info[2] = kPscMaxEntries + 1;
+        g.info[3] = 0;
+        at_bound = cpu.hypercall(g);
+        g.exitCode = static_cast<uint64_t>(GhcbExit::Terminate);
+        cpu.writeGhcb(g);
+        cpu.vmgexit();
+    });
+    EXPECT_TRUE(hyper->run(boot).terminated);
+    EXPECT_EQ(too_many, static_cast<uint64_t>(HvResult::Denied));
+    EXPECT_EQ(past_end, static_cast<uint64_t>(HvResult::Denied));
+    EXPECT_EQ(at_bound, static_cast<uint64_t>(HvResult::Denied));
+    EXPECT_FALSE(machine->rmp().isShared(0x7000));
+    EXPECT_EQ(hyper->stats().pageStateChanges, 0u);
+}
+
+TEST_F(HvTest, ConsoleWriteFromPrivateBufferDenied)
+{
+    // The image page is private: the hypervisor may not read it, so
+    // the request is refused instead of tripping the HvView check.
+    uint64_t from_private = 0, past_end = 0;
+    VmsaId boot = launch([&](Vcpu &cpu) {
+        Ghcb g;
+        g.exitCode = static_cast<uint64_t>(GhcbExit::ConsoleWrite);
+        g.info[0] = 0x1000;
+        g.info[1] = 16;
+        from_private = cpu.hypercall(g);
+        g.info[0] = 8 * 1024 * 1024 - 8; // runs off the end of memory
+        past_end = cpu.hypercall(g);
+        g.exitCode = static_cast<uint64_t>(GhcbExit::Terminate);
+        cpu.writeGhcb(g);
+        cpu.vmgexit();
+    });
+    EXPECT_TRUE(hyper->run(boot).terminated);
+    EXPECT_EQ(from_private, static_cast<uint64_t>(HvResult::Denied));
+    EXPECT_EQ(past_end, static_cast<uint64_t>(HvResult::Denied));
+    EXPECT_EQ(hyper->console(), "");
+    EXPECT_EQ(hyper->stats().consoleWrites, 0u);
+}
+
 TEST_F(HvTest, HaltedVcpuGoesOffline)
 {
     // Entry returns immediately: the VCPU goes offline and run() ends.

@@ -10,6 +10,7 @@
 
 #include "base/log.hh"
 #include "base/rng.hh"
+#include "crypto/sha256.hh"
 #include "snp/fault.hh"
 #include "snp/memory.hh"
 #include "snp/paging.hh"
@@ -147,6 +148,78 @@ TEST_F(PagingTest, DestroyRootFreesAllTableFrames)
     editor->map(cr3, 0x00007f0000000000ULL, 0x302000, PageFlags{});
     editor->destroyRoot(cr3);
     EXPECT_EQ(liveFrames, 0);
+}
+
+// A fixed edit sequence covering every editor write path: 4 KiB maps
+// (fresh chains, shared chains, replacement), 2 MiB leaves, and a huge
+// leaf split by each of map, unmap and protect. The pinned digest of
+// all of guest memory afterwards (table pages included) fixes the
+// frames allocated, their order and their contents.
+TEST_F(PagingTest, EditSequenceMatchesPinnedDigest)
+{
+    const PageFlags rw{true, false, false};
+    const PageFlags user_rw{true, true, false};
+    const PageFlags user_rx{false, true, true};
+    editor->map(cr3, 0x400000, 0x300000, rw);
+    editor->map(cr3, 0x401000, 0x301000, user_rw);
+    editor->map(cr3, 0x600000, 0x302000, user_rx);
+    editor->map(cr3, 0x00007f0000000000ULL, 0x303000, rw);
+    editor->map2m(cr3, 0x40000000, 0x200000, user_rw);
+    editor->map2m(cr3, 0x40200000, 0x400000, user_rx);
+    editor->map2m(cr3, 0x40400000, 0x600000, rw);
+    editor->map2m(cr3, 0x40600000, 0x800000, rw);
+    editor->map2m(cr3, 0x40600000, 0xa00000, user_rw); // huge over huge
+    editor->map(cr3, 0x40003000, 0x350000, rw);         // split by map
+    editor->unmap(cr3, 0x40205000);                     // split by unmap
+    editor->protect(cr3, 0x40407000, user_rx);          // split by protect
+    editor->protect(cr3, 0x401000, rw);
+    editor->map(cr3, 0x400000, 0x304000, user_rx); // replace a 4 KiB leaf
+    editor->unmap(cr3, 0x600000);
+    editor->map(cr3, 0x0000008000000000ULL, 0x305000, user_rw);
+
+    EXPECT_EQ(nextFrame, Gpa(16) * kPageSize); // 15 table frames
+    EXPECT_EQ(crypto::digestHex(crypto::Sha256::hash(mem.raw(0), mem.size())),
+              "e69675ff626b17cb546f1d4e1b95dd9946e79a9826d1acf63edaecb9322b9cb3");
+}
+
+TEST_F(PagingTest, ProtectUnmappedVaReturnsNulloptAndWritesNothing)
+{
+    editor->map(cr3, 0x400000, 0x300000, PageFlags{true, false, false});
+    editor->map2m(cr3, 0x40000000, 0x200000, PageFlags{true, true, false});
+    const crypto::Digest before = crypto::Sha256::hash(mem.raw(0), mem.size());
+    const Gpa frames_before = nextFrame;
+    // Missing L0 entry under a live table, missing L1 table, and a VA
+    // whose whole chain from the root is missing.
+    for (Gva va : {Gva(0x401000), Gva(0x800000), Gva(0x00007f0000000000ULL)})
+        EXPECT_FALSE(editor->protect(cr3, va, PageFlags{false, true, true}));
+    EXPECT_EQ(crypto::Sha256::hash(mem.raw(0), mem.size()), before);
+    EXPECT_EQ(nextFrame, frames_before);
+
+    // A mapped page returns its old PTE, also inside a 2 MiB leaf
+    // (the 4 KiB view leaf() reported before the split).
+    auto old = editor->protect(cr3, 0x400000, PageFlags{false, false, false});
+    ASSERT_TRUE(old.has_value());
+    EXPECT_EQ(*old, (PageFlags{true, false, false}).toPte(0x300000));
+    auto view = editor->leaf(cr3, 0x40005000);
+    auto old_huge =
+        editor->protect(cr3, 0x40005000, PageFlags{false, true, false});
+    ASSERT_TRUE(old_huge.has_value());
+    EXPECT_EQ(old_huge, view);
+    EXPECT_EQ(*old_huge & kPteAddrMask, 0x205000u);
+}
+
+TEST_F(PagingTest, FaultMessagesPrintHexAddresses)
+{
+    try {
+        walk(mem, cr3, 0x4000000, Access::Read, Cpl::Supervisor);
+        FAIL() << "expected GuestPageFault";
+    } catch (const GuestPageFault &f) {
+        EXPECT_STREQ(f.what(), "PF at GVA 0x4000000 (read, not-present)");
+    }
+    NpfFault npf(0x2f0000, Vmpl::Vmpl1, Access::Write,
+                 "page-table page RMP violation");
+    EXPECT_STREQ(npf.what(), "NPF at GPA 0x2f0000 (VMPL-1, write): "
+                             "page-table page RMP violation");
 }
 
 TEST_F(PagingTest, RandomizedMapTranslateProperty)
