@@ -45,8 +45,9 @@ okStatus(const IdcbMessage &m)
 } // namespace
 
 Kernel::Kernel(Machine &machine, const core::CvmLayout &layout,
-               KernelConfig config)
-    : machine_(machine), layout_(layout), config_(std::move(config))
+               KernelConfig config, bool veil)
+    : machine_(machine), layout_(layout), config_(std::move(config)),
+      veil_(veil)
 {
     audit_.setBackend(config_.auditBackend);
     audit_.setRules(config_.auditRules);
@@ -212,7 +213,7 @@ Kernel::bspMain(Vcpu &cpu)
     cpu_ = &cpu;
     onlineVcpus_.insert(cpu.vcpuId());
 
-    if (!config_.veilEnabled) {
+    if (!veil_) {
         // Native CVM: the kernel boots at VMPL-0 and validates its own
         // memory (the baseline boot cost, §9.1).
         validateAllMemoryNative(cpu);
@@ -254,7 +255,7 @@ Kernel::bspMain(Vcpu &cpu)
         cpu.vmsa().softTimerHook = [this] { opMaybeDeadlineFlush(); };
     }
 
-    if (config_.veilEnabled) {
+    if (veil_) {
         IdcbMessage m;
         m.op = static_cast<uint32_t>(VeilOp::KciActivate);
         m.args[0] = textLo_;
@@ -293,7 +294,7 @@ Kernel::makeProcess(const std::string &comm, bool light_as)
     proc->as = light_as ? std::make_unique<AddressSpace>(machine_, *frames_,
                                                          dataHi_, textLo_)
                         : std::make_unique<AddressSpace>(machine_, *frames_);
-    proc->as->guardTables(config_.veilEnabled ? Vmpl::Vmpl3 : Vmpl::Vmpl0);
+    proc->as->guardTables(veil_ ? Vmpl::Vmpl3 : Vmpl::Vmpl0);
     // fds 0/1/2: console.
     for (int i = 0; i < 3; ++i) {
         FdEntry e;
@@ -335,15 +336,13 @@ Kernel::terminate(uint64_t status)
     // Drain barrier: no audit record or other deferred VeilOp may be
     // lost across an orderly shutdown (bounds the loss window to crashes).
     opRingBarrier();
-    Vcpu &c = cpu();
-    c.vmsa().ghcbGpa = layout_.osGhcb(c.vcpuId());
     Ghcb g;
     g.exitCode = static_cast<uint64_t>(GhcbExit::Terminate);
     g.info[0] = status;
     // Sentinel-armed hypercall: a swallowed Terminate relay would leave
     // the CVM neither terminated nor halted; the retry path re-issues
     // it until the hypervisor acts or the halt is attributed.
-    c.hypercall(g);
+    osHypercall(g);
 }
 
 // ---- Delegation (§5.3) ----
@@ -353,8 +352,7 @@ Kernel::callMonitor(IdcbMessage &msg)
 {
     // Drain barrier: a sync monitor call must not overtake VeilOps
     // already queued in the submission ring (program order = service
-    // order; a queued PageStateChange and a sync one on the same page
-    // must land in submission order).
+    // order, across both IDCBs).
     if (opFlushAllowed())
         opRingFlush(OpFlushTrigger::Barrier);
     ++stats_.monitorCalls;
@@ -411,16 +409,13 @@ Kernel::callServiceBatched(IdcbMessage &msg)
     }
     if (opRingOn() && opDeferrable(msg.op))
         ++stats_.opSyncFallbacks;
-    if (msg.op == static_cast<uint32_t>(VeilOp::PageStateChange))
-        callMonitor(msg);
-    else
-        callService(msg);
+    callService(msg);
 }
 
 bool
 Kernel::bootVcpu(uint32_t vcpu)
 {
-    if (!config_.veilEnabled)
+    if (!veil_)
         return false; // native AP boot not modelled
     IdcbMessage m;
     m.op = static_cast<uint32_t>(VeilOp::BootVcpu);
@@ -432,7 +427,7 @@ Kernel::bootVcpu(uint32_t vcpu)
 void
 Kernel::pageStateChange(Gpa page, bool shared)
 {
-    if (config_.veilEnabled) {
+    if (veil_) {
         IdcbMessage m;
         m.op = static_cast<uint32_t>(VeilOp::PageStateChange);
         m.args[0] = page;
@@ -458,20 +453,13 @@ Kernel::pageStateChange(Gpa page, bool shared)
 }
 
 void
-Kernel::pageStateChangeAsync(Gpa page, bool shared)
+Kernel::osHypercall(const Ghcb &g)
 {
-    if (!config_.veilEnabled) {
-        pageStateChange(page, shared);
-        return;
-    }
-    IdcbMessage m;
-    m.op = static_cast<uint32_t>(VeilOp::PageStateChange);
-    m.args[0] = page;
-    m.args[1] = shared ? 1 : 0;
-    if (opSubmit(m))
-        return; // refusal surfaces at the flush via opCompletionArrived
-    callMonitor(m);
-    ensure(okStatus(m), "Kernel: PSC delegation failed");
+    Vcpu &c = cpu();
+    Gpa saved = c.vmsa().ghcbGpa;
+    c.vmsa().ghcbGpa = layout_.osGhcb(c.vcpuId());
+    c.hypercall(g);
+    c.vmsa().ghcbGpa = saved;
 }
 
 // ---- Modules (§6.1) ----
@@ -495,7 +483,7 @@ Kernel::loadModule(const Bytes &image)
     mod.dest = dest;
     mod.destPages = dest_pages;
 
-    if (config_.veilEnabled) {
+    if (veil_) {
         // Stage the image in kernel memory for VeilS-KCI.
         uint32_t img_pages =
             static_cast<uint32_t>(pageAlignUp(image.size()) / kPageSize);
@@ -588,10 +576,32 @@ Kernel::moduleText(int64_t handle) const
 
 // ---- Enclave driver (§6.2) ----
 
+Gpa
+Kernel::enclaveGhcbSetup(Process &proc, Gva gva)
+{
+    Gpa frame = frames_->alloc();
+    pageStateChange(frame, /*shared=*/true);
+    proc.as->mapUser(gva, frame, kPROT_READ | kPROT_WRITE);
+    // Instruct the hypervisor to only allow UNT<->ENC switches on it.
+    Ghcb g;
+    g.exitCode = static_cast<uint64_t>(GhcbExit::RestrictGhcb);
+    g.info[0] = frame;
+    osHypercall(g);
+    return frame;
+}
+
+void
+Kernel::enclaveGhcbRelease(Process &proc, Gva gva, Gpa frame)
+{
+    proc.as->unmapUser(gva);
+    pageStateChange(frame, /*shared=*/false);
+    frames_->free(frame);
+}
+
 int64_t
 Kernel::enclaveCreate(Process &proc, VeilEnclaveCreateArgs &args)
 {
-    if (!config_.veilEnabled || proc.enclave)
+    if (!veil_ || proc.enclave)
         return -kEPERM;
     if (!isPageAligned(args.vaLo) || !isPageAligned(args.vaHi) ||
         args.vaLo >= args.vaHi || !isPageAligned(args.ghcbGva) ||
@@ -600,22 +610,7 @@ Kernel::enclaveCreate(Process &proc, VeilEnclaveCreateArgs &args)
     }
 
     Vcpu &c = cpu();
-    // Per-thread GHCB: fresh frame, made hypervisor-shared via VeilMon,
-    // mapped into the process address space (§6.2).
-    Gpa ghcb_frame = frames_->alloc();
-    pageStateChange(ghcb_frame, /*shared=*/true);
-    proc.as->mapUser(args.ghcbGva, ghcb_frame, kPROT_READ | kPROT_WRITE);
-
-    // Instruct the hypervisor to only allow UNT<->ENC switches on it.
-    {
-        Gpa saved = c.vmsa().ghcbGpa;
-        c.vmsa().ghcbGpa = layout_.osGhcb(c.vcpuId());
-        Ghcb g;
-        g.exitCode = static_cast<uint64_t>(GhcbExit::RestrictGhcb);
-        g.info[0] = ghcb_frame;
-        c.hypercall(g);
-        c.vmsa().ghcbGpa = saved;
-    }
+    Gpa ghcb_frame = enclaveGhcbSetup(proc, args.ghcbGva);
 
     IdcbMessage m;
     m.op = static_cast<uint32_t>(VeilOp::EncCreate);
@@ -629,9 +624,7 @@ Kernel::enclaveCreate(Process &proc, VeilEnclaveCreateArgs &args)
     m.args[7] = idtHandlerVa_;
     callService(m);
     if (!okStatus(m)) {
-        proc.as->unmapUser(args.ghcbGva);
-        pageStateChange(ghcb_frame, /*shared=*/false);
-        frames_->free(ghcb_frame);
+        enclaveGhcbRelease(proc, args.ghcbGva, ghcb_frame);
         return -kEACCES;
     }
 
@@ -692,9 +685,7 @@ Kernel::enclaveDestroy(Process &proc)
         }
         st.resident.clear();
         st.swapStore.clear();
-        proc.as->unmapUser(st.ghcbGva);
-        pageStateChange(st.ghcbGpa, /*shared=*/false);
-        frames_->free(st.ghcbGpa);
+        enclaveGhcbRelease(proc, st.ghcbGva, st.ghcbGpa);
     }
     return 0;
 }
@@ -702,7 +693,7 @@ Kernel::enclaveDestroy(Process &proc)
 int64_t
 Kernel::enclaveSnapshot(Process &proc, VeilSnapshotArgs &args)
 {
-    if (!config_.veilEnabled || !proc.enclave || !proc.enclave->alive)
+    if (!veil_ || !proc.enclave || !proc.enclave->alive)
         return -kENOENT;
     EnclaveState &st = *proc.enclave;
     if (st.snapshotId != 0)
@@ -726,26 +717,13 @@ Kernel::enclaveSnapshot(Process &proc, VeilSnapshotArgs &args)
 int64_t
 Kernel::enclaveClone(Process &proc, VeilCloneArgs &args)
 {
-    if (!config_.veilEnabled || proc.enclave)
+    if (!veil_ || proc.enclave)
         return -kEPERM;
     if (!isPageAligned(args.ghcbGva) || args.snapshotId == 0)
         return -kEINVAL;
 
     Vcpu &c = cpu();
-    // Same GHCB plumbing as enclaveCreate: fresh frame, shared via
-    // VeilMon, mapped into the clone process, switch-restricted.
-    Gpa ghcb_frame = frames_->alloc();
-    pageStateChange(ghcb_frame, /*shared=*/true);
-    proc.as->mapUser(args.ghcbGva, ghcb_frame, kPROT_READ | kPROT_WRITE);
-    {
-        Gpa saved = c.vmsa().ghcbGpa;
-        c.vmsa().ghcbGpa = layout_.osGhcb(c.vcpuId());
-        Ghcb g;
-        g.exitCode = static_cast<uint64_t>(GhcbExit::RestrictGhcb);
-        g.info[0] = ghcb_frame;
-        c.hypercall(g);
-        c.vmsa().ghcbGpa = saved;
-    }
+    Gpa ghcb_frame = enclaveGhcbSetup(proc, args.ghcbGva);
 
     IdcbMessage m;
     m.op = static_cast<uint32_t>(VeilOp::EncClone);
@@ -755,9 +733,7 @@ Kernel::enclaveClone(Process &proc, VeilCloneArgs &args)
     m.args[3] = c.vcpuId();
     callService(m);
     if (!okStatus(m)) {
-        proc.as->unmapUser(args.ghcbGva);
-        pageStateChange(ghcb_frame, /*shared=*/false);
-        frames_->free(ghcb_frame);
+        enclaveGhcbRelease(proc, args.ghcbGva, ghcb_frame);
         return -kEACCES;
     }
 
@@ -786,7 +762,7 @@ Kernel::enclaveClone(Process &proc, VeilCloneArgs &args)
 int64_t
 Kernel::enclaveSnapshotRelease(uint64_t snapshot_id)
 {
-    if (!config_.veilEnabled || snapshot_id == 0)
+    if (!veil_ || snapshot_id == 0)
         return -kEINVAL;
     IdcbMessage m;
     m.op = static_cast<uint32_t>(VeilOp::EncSnapshotRelease);
@@ -930,15 +906,12 @@ Kernel::prepEnclaveRun(Process &proc)
     // Scheduler hook (§6.2): when a different enclave gets the VCPU,
     // point the hypervisor's Dom-ENC slot at its VMSA.
     if (scheduledEnclaveVmsa_[c.vcpuId()] != proc.enclave->vmsa) {
-        Gpa saved = c.vmsa().ghcbGpa;
-        c.vmsa().ghcbGpa = layout_.osGhcb(c.vcpuId());
         Ghcb g;
         g.exitCode = static_cast<uint64_t>(GhcbExit::RegisterVmsa);
         g.info[1] = c.vcpuId();
         g.info[2] = static_cast<uint64_t>(Vmpl::Vmpl2);
         g.info[3] = proc.enclave->vmsa;
-        c.hypercall(g);
-        c.vmsa().ghcbGpa = saved;
+        osHypercall(g);
         scheduledEnclaveVmsa_[c.vcpuId()] = proc.enclave->vmsa;
     }
     // Select the user-mapped GHCB and drop to user.
@@ -1010,7 +983,7 @@ Kernel::auditHook(Process &proc, uint32_t no, const uint64_t args[6])
 bool
 Kernel::opRingOn() const
 {
-    return config_.veilEnabled &&
+    return veil_ &&
            (config_.serviceBatching ||
             audit_.backend() == AuditBackend::VeilLogBatched);
 }
@@ -1025,7 +998,6 @@ Kernel::opDeferrable(uint32_t op) const
         return true;
       case VeilOp::EncSyncPerms:
       case VeilOp::EncFreePage:
-      case VeilOp::PageStateChange:
         return config_.serviceBatching;
       default:
         return false;
@@ -1227,14 +1199,6 @@ Kernel::opCompletionArrived(const core::VeilOpCompletion &cpl)
         frames_->free(it->pa);
         dfp.erase(it);
         return;
-    }
-
-    // A refused deferred PageStateChange mirrors the sync path's
-    // ensure(okStatus): the caller already proceeded on success.
-    if (!ok && cpl.op == static_cast<uint32_t>(VeilOp::PageStateChange)) {
-        throw snp::CvmHaltFault(
-            "deferred PageStateChange refused by VeilMon after its "
-            "caller already observed success");
     }
 }
 

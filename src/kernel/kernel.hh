@@ -26,17 +26,13 @@ namespace veil::kern {
 /** Kernel configuration. */
 struct KernelConfig
 {
-    /// Running under Veil (Dom-UNT, with VeilS-KCI W^X + signed module
-    /// loading) vs native CVM (VMPL-0 boot). VeilVm derives it from
-    /// VmConfig::veilEnabled.
-    bool veilEnabled = true;
     AuditBackend auditBackend = AuditBackend::None;
     std::set<uint32_t> auditRules;
     /// Exit-less VeilOp batching (DESIGN.md §11): queue deferrable
-    /// service calls (LogAppend, EncSyncPerms, EncFreePage,
-    /// PageStateChange) in the per-VCPU submission ring and ring the
-    /// doorbell in groups instead of paying a domain-switch round trip
-    /// per call. Off by default: the sync path stays bit-identical.
+    /// service calls (LogAppend, EncSyncPerms, EncFreePage) in the
+    /// per-VCPU submission ring and ring the doorbell in groups instead
+    /// of paying a domain-switch round trip per call. Off by default:
+    /// the sync path stays bit-identical.
     bool serviceBatching = false;
     /// Op ring (serviceBatching, or VeilLogBatched, whose records queue
     /// as LogAppend slots): doorbell once this many ops queue up.
@@ -98,8 +94,11 @@ class Kernel
   public:
     using InitFn = std::function<void(Kernel &, Process &)>;
 
+    /** @p veil: running under Veil (Dom-UNT, with VeilS-KCI W^X and
+     *  signed module loading) rather than as a native CVM (VMPL-0
+     *  boot); VeilVm passes VmConfig::veilEnabled. */
     Kernel(snp::Machine &machine, const core::CvmLayout &layout,
-           KernelConfig config);
+           KernelConfig config, bool veil);
     ~Kernel();
 
     /** Boot entry for the BSP (VCPU 0). */
@@ -157,6 +156,7 @@ class Kernel
     FrameAllocator &frames() { return *frames_; }
     const FrameAllocator &frames() const { return *frames_; }
     const KernelConfig &config() const { return config_; }
+    bool veilEnabled() const { return veil_; }
     const core::CvmLayout &layout() const { return layout_; }
 
     /** Buffered kernel console (printk + fd 1/2 writes). */
@@ -175,8 +175,8 @@ class Kernel
      * submission ring when it is deferrable and batching is legal here,
      * falling back to the sync path otherwise. A queued call returns
      * with status Ok optimistically; the real status arrives with its
-     * completion (a failed deferred op halts with attribution). With
-     * serviceBatching disabled this is exactly callService/callMonitor.
+     * completion (a refusal counts in opCplErrors). With
+     * serviceBatching disabled this is exactly callService.
      */
     void callServiceBatched(core::IdcbMessage &msg);
 
@@ -185,10 +185,6 @@ class Kernel
 
     /** Drain barrier: doorbell + harvest until the op ring is empty. */
     void opRingBarrier();
-
-    /** Page-state change through the batched transport (test/teardown
-     *  use; production call sites that consume ordering stay sync). */
-    void pageStateChangeAsync(snp::Gpa page, bool shared);
 
     /** Boot an additional VCPU (hotplug) through VeilMon. */
     bool bootVcpu(uint32_t vcpu);
@@ -249,6 +245,15 @@ class Kernel
     /** Append to the kernel console (spinlocked in multicore mode). */
     void conAppend(const std::string &s);
     void pageStateChange(snp::Gpa page, bool shared);
+    /** One hypercall through this VCPU's OS GHCB; the GHCB MSR is
+     *  restored afterwards. */
+    void osHypercall(const snp::Ghcb &g);
+    /** Per-enclave GHCB (§6.2): a fresh frame, made hypervisor-shared
+     *  via VeilMon, mapped at @p gva in @p proc and restricted to
+     *  UNT<->ENC switches. Returns the frame. */
+    snp::Gpa enclaveGhcbSetup(Process &proc, snp::Gva gva);
+    /** Undo enclaveGhcbSetup. */
+    void enclaveGhcbRelease(Process &proc, snp::Gva gva, snp::Gpa frame);
     void auditHook(Process &proc, uint32_t no, const uint64_t args[6]);
 
     // ---- Batched VeilOp submission (exit-less service calls, §11) ----
@@ -309,6 +314,7 @@ class Kernel
     snp::Machine &machine_;
     core::CvmLayout layout_;
     KernelConfig config_;
+    const bool veil_;
     AuditSubsystem audit_;
     RamFs fs_;
     NetStack net_;

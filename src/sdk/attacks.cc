@@ -384,6 +384,37 @@ runEnclaveAttacks()
         }));
 
     out.push_back(attackInVm(
+        "OS maps a victim's frame into a colluding enclave",
+        "Disjoint physical pages",
+        [](VeilVm &vm, Kernel &k, Process &p, std::string &detail) {
+            NativeEnv env(k, p);
+            EnclaveHost victim(env, vm.programs());
+            Gva secret_va = makeVictimEnclave(vm, env, victim);
+            Gpa secret_pa = *p.as->userLeaf(secret_va) & kPteAddrMask;
+
+            // Before the evil enclave is finalized, the OS maps the
+            // victim's secret frame into the evil process outside the
+            // enclave window, as if it were ordinary shared memory.
+            Process &p2 = k.makeProcess("evil");
+            const Gva alias = 0x6000000;
+            p2.as->mapUser(alias, secret_pa, kPROT_READ | kPROT_WRITE);
+            NativeEnv env2(k, p2);
+            EnclaveHost evil(env2, vm.programs());
+            uint64_t leak = 0;
+            bool created = evil.create([alias, &leak](Env &e) -> int64_t {
+                e.copyOut(alias, &leak, 8);
+                return 0;
+            });
+            int64_t r = created ? evil.call() : -1;
+            p2.as->unmapUser(alias); // never the allocator's frame
+            if (!created)
+                detail = "EncCreate refused the aliased frame";
+            else if (leak != 0x5ec7e7)
+                detail = "the enclave read no secret";
+            return r == 0 && leak == 0x5ec7e7;
+        }));
+
+    out.push_back(attackInVm(
         "Enclave executes OS code at DomENC", "Disallowed in DomENC",
         [](VeilVm &vm, Kernel &k, Process &p, std::string &detail) {
             NativeEnv env(k, p);

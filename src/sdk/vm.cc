@@ -22,10 +22,9 @@ VeilVm::VeilVm(VmConfig config)
       machine_(config_.machine),
       hv_(machine_)
 {
-    config_.kernel.veilEnabled = config_.veilEnabled;
-
     kernel_ = std::make_unique<kern::Kernel>(machine_, layout_,
-                                             config_.kernel);
+                                             config_.kernel,
+                                             config_.veilEnabled);
 
     // The measured boot image: VeilMon + services, or the kernel image
     // for a native CVM. Contents are deterministic synthetic bytes.

@@ -118,6 +118,15 @@ PageTableEditor::checkTable(Gpa table, Access access) const
     }
 }
 
+bool
+PageTableEditor::readable(Gpa table) const
+{
+    if (!mem_.contains(table, kPageSize))
+        return false;
+    checkTable(table, Access::Read);
+    return true;
+}
+
 Gpa
 PageTableEditor::newTable()
 {
@@ -176,7 +185,8 @@ PageTableEditor::findEntry(Gpa cr3, Gva va) const
 {
     Gpa table = cr3;
     for (int level = 3;; --level) {
-        checkTable(table, Access::Read);
+        if (!readable(table))
+            return std::nullopt;
         uint64_t entry =
             mem_.readObj<uint64_t>(table + ptIndex(va, level) * 8);
         if (!(entry & PtePresent))
@@ -263,7 +273,8 @@ PageTableEditor::forEachLeafIn(
     // Sparse traversal: each table is checked and read once, and
     // non-present subtrees are skipped whole. Visits exactly the pages
     // a page-stride leaf() probe of [lo, hi) would, in the same order.
-    checkTable(table, Access::Read);
+    if (!readable(table))
+        return;
     const Gva span = Gva(1) << (kPageShift + 9 * level);
     for (unsigned i = lo > base ? unsigned((lo - base) / span) : 0; i < 512;
          ++i) {

@@ -182,13 +182,19 @@ class PageTableEditor
      */
     std::optional<Gpa> entryAt(Gpa cr3, Gva va, int stop_level, bool create);
     /** The reading descent: read-checks each table and stops at a
-     *  present L0 entry or 2 MiB leaf. */
+     *  present L0 entry or 2 MiB leaf (see readable()). */
     std::optional<Entry> findEntry(Gpa cr3, Gva va) const;
     void destroyLevel(Gpa table, int level);
     void forEachLeafIn(Gpa table, int level, Gva base, Gva lo, Gva hi,
                        const std::function<void(Gva, uint64_t)> &cb) const;
     /** Throws NpfFault when guarded and @p vmpl may not @p access it. */
     void checkTable(Gpa table, Access access) const;
+    /**
+     * The reading descents' table check: a table outside guest memory
+     * (an interior entry the OS pointed past it) reads as not present,
+     * as in the hardware walk; any other is read-checked.
+     */
+    bool readable(Gpa table) const;
 
     GuestMemory &mem_;
     FrameAllocFn alloc_;

@@ -2,8 +2,8 @@
  * @file
  * The VeilOp submission/completion rings (DESIGN.md §11): the one
  * batched kernel<->service transport. Deferrable service calls (batched
- * audit records as LogAppend, EncSyncPerms, EncFreePage,
- * PageStateChange) queue as POD slots and one doorbell drains them.
+ * audit records as LogAppend, EncSyncPerms, EncFreePage) queue as POD
+ * slots and one doorbell drains them.
  *
  * Each SPSC ring is a run of guest-physical pages in the *less
  * privileged* side's memory (§5.2): slot 0 holds the header, fixed-size

@@ -99,15 +99,8 @@ ServiceDispatcher::drainOpRing(Vcpu &cpu)
         }
         cpu.burn(kRingOpCycles);
 
-        if (static_cast<VeilOp>(m.op) == VeilOp::PageStateChange) {
-            // PSC belongs to VeilMon: forward over the SRV<->MON IDCB so
-            // the monitor applies exactly the sanitization a direct OS
-            // call gets (osPageAllowed is requester-independent).
-            idcbCall(cpu, layout_.srvMonIdcb(vcpu), Vmpl::Vmpl0, m);
-        } else {
-            m.requesterVmpl = 3; // ring requests originate from the OS
-            dispatch(cpu, m);
-        }
+        m.requesterVmpl = 3; // ring requests originate from the OS
+        dispatch(cpu, m);
 
         VeilOpCompletion cpl;
         cpl.seq = slot.seq;

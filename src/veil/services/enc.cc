@@ -23,6 +23,64 @@ constexpr uint64_t kSnapshotCyclesPerPage = 120;
 constexpr uint64_t kCloneMapCyclesPerPage = 60;
 /// CoW break: 4 KiB protected copy plus remap (≪ re-measuring).
 constexpr uint64_t kCloneFaultCycles = kPageSize / 2;
+
+void
+reply(IdcbMessage &msg, VeilStatus status)
+{
+    msg.status = static_cast<uint64_t>(status);
+}
+
+/** The live entry of @p m that msg.args[0] names; otherwise nullptr,
+ *  with NotFound in @p msg. */
+template <typename T>
+T *
+findLive(std::map<uint64_t, T> &m, IdcbMessage &msg)
+{
+    auto it = m.find(msg.args[0]);
+    if (it != m.end() && it->second.alive)
+        return &it->second;
+    reply(msg, VeilStatus::NotFound);
+    return nullptr;
+}
+
+/** The rights of an enclave-visible user page: its clone-table flags
+ *  and the VMPL-2 RMP permissions that match them. */
+struct PageRights
+{
+    PageFlags flags;
+    PermMask vmpl2 = PermRead;
+};
+
+/** The one rights translation: a page that may be written and/or
+ *  executed. */
+PageRights
+rights(bool write, bool exec)
+{
+    PageRights r;
+    r.flags.user = true;
+    r.flags.write = write;
+    r.flags.exec = exec;
+    if (write)
+        r.vmpl2 |= PermWrite;
+    if (exec)
+        r.vmpl2 |= PermUserExec;
+    return r;
+}
+
+/** Rights from PTE bits (PteWrite, PteNx). */
+PageRights
+pteRights(uint64_t pte)
+{
+    return rights(pte & PteWrite, !(pte & PteNx));
+}
+
+/** Rights from an mprotect-style @p prot (bit0 write, bit1 exec). */
+PageRights
+protRights(uint64_t prot)
+{
+    return rights(prot & 1, prot & 2);
+}
+
 } // namespace
 
 void
@@ -110,15 +168,30 @@ EncService::unlockMt()
         mtMu_.unlock();
 }
 
-PermMask
-EncService::vmpl2PermsFor(uint64_t pte) const
+bool
+EncService::admitOsLeaf(uint64_t pte, const std::set<Gpa> *own) const
 {
-    PermMask m = PermRead;
-    if (pte & PteWrite)
-        m |= PermWrite;
-    if (!(pte & PteNx))
-        m |= PermUserExec;
-    return m;
+    Gpa pa = pte & kPteAddrMask;
+    return (pte & PteUser) && pa >= layout_.kernelBase &&
+           pa < layout_.memEnd && !allEnclaveFrames_.count(pa) &&
+           !(own && own->count(pa));
+}
+
+void
+EncService::grantFrame(Vcpu &cpu, EnclaveInfo &e, Gpa pa, PermMask vmpl2)
+{
+    cpu.rmpadjust(pa, Vmpl::Vmpl2, vmpl2);
+    cpu.rmpadjust(pa, Vmpl::Vmpl3, kPermNone, /*warm=*/true);
+    e.frames.insert(pa);
+    allEnclaveFrames_.insert(pa);
+}
+
+void
+EncService::returnFrame(Vcpu &cpu, Gpa pa)
+{
+    cpu.rmpadjust(pa, Vmpl::Vmpl2, kPermNone, /*warm=*/true);
+    cpu.rmpadjust(pa, Vmpl::Vmpl3, kPermRw, /*warm=*/true);
+    allEnclaveFrames_.erase(pa);
 }
 
 crypto::Digest
@@ -215,10 +288,8 @@ EncService::opCreate(Vcpu &cpu, IdcbMessage &msg)
 
     if (!isPageAligned(lo) || !isPageAligned(hi) || lo >= hi ||
         lo < kUserVaLo || hi > kUserVaHi || vcpu >= layout_.numVcpus ||
-        !machine_.rmp().isShared(ghcb)) {
-        msg.status = static_cast<uint64_t>(VeilStatus::BadArgs);
-        return;
-    }
+        !machine_.rmp().isShared(ghcb))
+        return reply(msg, VeilStatus::BadArgs);
 
     // Scan the OS-built page tables for the whole user address space.
     std::vector<std::pair<Gva, uint64_t>> user_leaves;
@@ -233,29 +304,20 @@ EncService::opCreate(Vcpu &cpu, IdcbMessage &msg)
                            });
     cpu.burn(200 * user_leaves.size()); // scan cost
 
-    // The kernel wrote these leaves: one naming a frame beyond guest
-    // memory must not reach the RMP queries below.
-    for (const auto &[va, pte] : user_leaves) {
-        if ((pte & kPteAddrMask) >= machine_.memory().size()) {
-            msg.status = static_cast<uint64_t>(VeilStatus::VerifyFailed);
-            return;
-        }
-    }
-
-    // §6.2 invariants: one-to-one mapping and disjoint physical pages.
-    std::set<Gpa> seen;
+    // §6.2 invariants: one-to-one mapping and disjoint physical pages
+    // inside the window; every other user leaf must pass admission.
+    std::set<Gpa> own;
     for (const auto &[va, pte] : enclave_leaves) {
         Gpa pa = pte & kPteAddrMask;
-        bool fresh = seen.insert(pa).second;
-        if (!fresh || !frameUsable(pa)) {
-            msg.status = static_cast<uint64_t>(VeilStatus::VerifyFailed);
-            return;
-        }
+        if (!own.insert(pa).second || !frameUsable(pa))
+            return reply(msg, VeilStatus::VerifyFailed);
     }
-    if (enclave_leaves.empty()) {
-        msg.status = static_cast<uint64_t>(VeilStatus::BadArgs);
-        return;
+    for (const auto &[va, pte] : user_leaves) {
+        if ((va < lo || va >= hi) && !admitOsLeaf(pte, &own))
+            return reply(msg, VeilStatus::VerifyFailed);
     }
+    if (enclave_leaves.empty())
+        return reply(msg, VeilStatus::BadArgs);
 
     EnclaveInfo e;
     e.id = nextId_++;
@@ -269,13 +331,9 @@ EncService::opCreate(Vcpu &cpu, IdcbMessage &msg)
 
     // Clone the user page tables into protected memory.
     e.cloneCr3 = srvEditor_.createRoot();
-    for (const auto &[va, pte] : user_leaves) {
-        PageFlags f;
-        f.user = true;
-        f.write = pte & PteWrite;
-        f.exec = !(pte & PteNx);
-        srvEditor_.map(e.cloneCr3, va, pte & kPteAddrMask, f);
-    }
+    for (const auto &[va, pte] : user_leaves)
+        srvEditor_.map(e.cloneCr3, va, pte & kPteAddrMask,
+                       pteRights(pte).flags);
 
     derivePagingKeys(e);
 
@@ -288,11 +346,7 @@ EncService::opCreate(Vcpu &cpu, IdcbMessage &msg)
         cpu.readPhys(pa, page.data(), page.size());
         measureEnclavePage(meas, va, pte, page.data());
         cpu.burn(kMeasureCyclesPerPage);
-
-        cpu.rmpadjust(pa, Vmpl::Vmpl2, vmpl2PermsFor(pte));
-        cpu.rmpadjust(pa, Vmpl::Vmpl3, kPermNone, /*warm=*/true);
-        e.frames.insert(pa);
-        allEnclaveFrames_.insert(pa);
+        grantFrame(cpu, e, pa, pteRights(pte).vmpl2);
     }
     e.measurement = meas.finish();
 
@@ -303,7 +357,7 @@ EncService::opCreate(Vcpu &cpu, IdcbMessage &msg)
         Gpa pa = pte & kPteAddrMask;
         if (machine_.rmp().isShared(pa))
             continue; // GHCB page: accessible everywhere already
-        cpu.rmpadjust(pa, Vmpl::Vmpl2, vmpl2PermsFor(pte), /*warm=*/true);
+        cpu.rmpadjust(pa, Vmpl::Vmpl2, pteRights(pte).vmpl2, /*warm=*/true);
     }
 
     // Ask VeilMon to create the Dom-ENC VCPU replica (§5.2).
@@ -327,241 +381,181 @@ EncService::opCreate(Vcpu &cpu, IdcbMessage &msg)
     enclaves_[id] = std::move(e);
     msg.ret[0] = id;
     msg.ret[1] = enclaves_[id].vmsa;
-    msg.status = static_cast<uint64_t>(VeilStatus::Ok);
+    reply(msg, VeilStatus::Ok);
 }
 
 void
 EncService::opDestroy(Vcpu &cpu, IdcbMessage &msg)
 {
-    auto it = enclaves_.find(msg.args[0]);
-    if (it == enclaves_.end() || !it->second.alive) {
-        msg.status = static_cast<uint64_t>(VeilStatus::NotFound);
+    EnclaveInfo *e = findLive(enclaves_, msg);
+    if (!e)
         return;
-    }
-    EnclaveInfo &e = it->second;
 
     // Scrub and return the enclave's frames to the OS.
-    for (Gpa pa : e.frames) {
+    for (Gpa pa : e->frames) {
         cpu.zeroPhys(pa);
-        cpu.rmpadjust(pa, Vmpl::Vmpl2, kPermNone, /*warm=*/true);
-        cpu.rmpadjust(pa, Vmpl::Vmpl3, kPermRw, /*warm=*/true);
-        allEnclaveFrames_.erase(pa);
+        returnFrame(cpu, pa);
     }
-    e.frames.clear();
-    srvEditor_.destroyRoot(e.cloneCr3);
+    e->frames.clear();
+    srvEditor_.destroyRoot(e->cloneCr3);
 
     IdcbMessage req;
     req.op = static_cast<uint32_t>(VeilOp::DestroyEnclaveVmsa);
-    req.args[0] = e.vcpu;
-    req.args[1] = e.vmsaPage;
+    req.args[0] = e->vcpu;
+    req.args[1] = e->vmsaPage;
     idcbCall(cpu, layout_.srvMonIdcb(cpu.vcpuId()), Vmpl::Vmpl0, req);
 
-    e.alive = false;
-    if (e.snapshotOf)
-        snapshotDecref(cpu, e.snapshotOf);
-    msg.status = static_cast<uint64_t>(VeilStatus::Ok);
+    e->alive = false;
+    if (e->snapshotOf)
+        snapshotDecref(cpu, e->snapshotOf);
+    reply(msg, VeilStatus::Ok);
 }
 
 void
 EncService::opFreePage(Vcpu &cpu, IdcbMessage &msg)
 {
-    auto it = enclaves_.find(msg.args[0]);
+    EnclaveInfo *e = findLive(enclaves_, msg);
     Gva va = msg.args[1];
-    if (it == enclaves_.end() || !it->second.alive) {
-        msg.status = static_cast<uint64_t>(VeilStatus::NotFound);
+    if (!e)
         return;
-    }
-    EnclaveInfo &e = it->second;
-    if (va < e.lo || va >= e.hi) {
-        msg.status = static_cast<uint64_t>(VeilStatus::BadArgs);
-        return;
-    }
-    auto leaf = srvEditor_.leaf(e.cloneCr3, va);
-    if (!leaf) {
-        msg.status = static_cast<uint64_t>(VeilStatus::NotFound);
-        return;
-    }
+    if (va < e->lo || va >= e->hi)
+        return reply(msg, VeilStatus::BadArgs);
+    auto leaf = srvEditor_.leaf(e->cloneCr3, va);
+    if (!leaf)
+        return reply(msg, VeilStatus::NotFound);
     Gpa pa = *leaf & kPteAddrMask;
     if (snapFrames_.count(pa)) {
         // Snapshot-shared frame: encrypting it in place would corrupt
         // every other sharer. The OS may only evict private pages.
-        msg.status = static_cast<uint64_t>(VeilStatus::Denied);
-        return;
+        return reply(msg, VeilStatus::Denied);
     }
 
     // Integrity tag with a freshness counter, then encrypt in place.
     std::vector<uint8_t> page(kPageSize);
     cpu.readPhys(pa, page.data(), page.size());
-    uint64_t ctr = e.freshCounter++;
+    uint64_t ctr = e->freshCounter++;
     EnclaveInfo::Evicted ev;
     ev.ctr = ctr;
     ev.pteFlags = *leaf & (PteWrite | PteNx | PteUser);
-    ev.tag = pageTag(e, va, ctr, page.data());
+    ev.tag = pageTag(*e, va, ctr, page.data());
 
     std::vector<uint8_t> enc(kPageSize);
-    crypto::aesCtrXor(*e.pagingAes, ctr, 0, page.data(), enc.data(), kPageSize);
+    crypto::aesCtrXor(*e->pagingAes, ctr, 0, page.data(), enc.data(),
+                      kPageSize);
     cpu.writePhys(pa, enc.data(), enc.size());
     cpu.burn(kCryptCyclesPerPage);
 
     // Unmap from the protected tables; hand the frame to the OS.
-    srvEditor_.unmap(e.cloneCr3, va);
-    cpu.rmpadjust(pa, Vmpl::Vmpl2, kPermNone, /*warm=*/true);
-    cpu.rmpadjust(pa, Vmpl::Vmpl3, kPermRw, /*warm=*/true);
-    e.frames.erase(pa);
-    allEnclaveFrames_.erase(pa);
-    e.evicted[va] = ev;
+    srvEditor_.unmap(e->cloneCr3, va);
+    returnFrame(cpu, pa);
+    e->frames.erase(pa);
+    e->evicted[va] = ev;
     cpu.machine().tracer().instant(trace::Category::EnclavePageOut, va);
-    msg.status = static_cast<uint64_t>(VeilStatus::Ok);
+    reply(msg, VeilStatus::Ok);
 }
 
 void
 EncService::opRestorePage(Vcpu &cpu, IdcbMessage &msg)
 {
-    auto it = enclaves_.find(msg.args[0]);
+    EnclaveInfo *e = findLive(enclaves_, msg);
     Gva va = msg.args[1];
     Gpa frame = msg.args[2];
-    if (it == enclaves_.end() || !it->second.alive) {
-        msg.status = static_cast<uint64_t>(VeilStatus::NotFound);
+    if (!e)
         return;
-    }
-    EnclaveInfo &e = it->second;
-    auto ev_it = e.evicted.find(va);
-    if (ev_it == e.evicted.end()) {
-        msg.status = static_cast<uint64_t>(VeilStatus::NotFound);
-        return;
-    }
-    if (!frameUsable(frame)) {
-        msg.status = static_cast<uint64_t>(VeilStatus::BadArgs);
-        return;
-    }
+    auto ev_it = e->evicted.find(va);
+    if (ev_it == e->evicted.end())
+        return reply(msg, VeilStatus::NotFound);
+    if (!frameUsable(frame))
+        return reply(msg, VeilStatus::BadArgs);
     const EnclaveInfo::Evicted &ev = ev_it->second;
 
     // Copy into protected staging, decrypt, verify freshness tag (§6.2).
     std::vector<uint8_t> enc(kPageSize);
     cpu.readPhys(frame, enc.data(), enc.size());
     std::vector<uint8_t> plain(kPageSize);
-    crypto::aesCtrXor(*e.pagingAes, ev.ctr, 0, enc.data(), plain.data(), kPageSize);
+    crypto::aesCtrXor(*e->pagingAes, ev.ctr, 0, enc.data(), plain.data(),
+                      kPageSize);
     cpu.burn(kCryptCyclesPerPage);
-    crypto::Digest tag = pageTag(e, va, ev.ctr, plain.data());
-    if (!ctEqual(tag.data(), ev.tag.data(), tag.size())) {
-        msg.status = static_cast<uint64_t>(VeilStatus::VerifyFailed);
-        return;
-    }
+    crypto::Digest tag = pageTag(*e, va, ev.ctr, plain.data());
+    if (!ctEqual(tag.data(), ev.tag.data(), tag.size()))
+        return reply(msg, VeilStatus::VerifyFailed);
 
     // Install the plaintext, revoke the OS, remap in the clone.
     cpu.writePhys(frame, plain.data(), plain.size());
-    cpu.rmpadjust(frame, Vmpl::Vmpl2, vmpl2PermsFor(ev.pteFlags | PteUser));
-    cpu.rmpadjust(frame, Vmpl::Vmpl3, kPermNone, /*warm=*/true);
-    PageFlags f;
-    f.user = true;
-    f.write = ev.pteFlags & PteWrite;
-    f.exec = !(ev.pteFlags & PteNx);
-    srvEditor_.map(e.cloneCr3, va, frame, f);
-    e.frames.insert(frame);
-    allEnclaveFrames_.insert(frame);
-    e.evicted.erase(ev_it);
+    PageRights r = pteRights(ev.pteFlags);
+    grantFrame(cpu, *e, frame, r.vmpl2);
+    srvEditor_.map(e->cloneCr3, va, frame, r.flags);
+    e->evicted.erase(ev_it);
     cpu.machine().tracer().instant(trace::Category::EnclavePageIn, va);
-    msg.status = static_cast<uint64_t>(VeilStatus::Ok);
+    reply(msg, VeilStatus::Ok);
 }
 
 void
 EncService::opMprotect(Vcpu &cpu, IdcbMessage &msg)
 {
-    auto it = enclaves_.find(msg.args[0]);
+    EnclaveInfo *e = findLive(enclaves_, msg);
     Gva va = msg.args[1];
     uint64_t len = msg.args[2];
-    uint64_t prot = msg.args[3]; // bit0 write, bit1 exec
-    if (it == enclaves_.end() || !it->second.alive) {
-        msg.status = static_cast<uint64_t>(VeilStatus::NotFound);
+    if (!e)
         return;
-    }
-    EnclaveInfo &e = it->second;
-    if (!isPageAligned(va) || va < e.lo || va + len > e.hi) {
-        msg.status = static_cast<uint64_t>(VeilStatus::BadArgs);
-        return;
-    }
-    PageFlags f;
-    f.user = true;
-    f.write = prot & 1;
-    f.exec = prot & 2;
-    PermMask m = PermRead;
-    if (f.write)
-        m |= PermWrite;
-    if (f.exec)
-        m |= PermUserExec;
+    if (!isPageAligned(va) || va < e->lo || va + len > e->hi)
+        return reply(msg, VeilStatus::BadArgs);
+    PageRights r = protRights(msg.args[3]);
     for (Gva p = va; p < va + len; p += kPageSize) {
-        auto old = srvEditor_.protect(e.cloneCr3, p, f);
+        auto old = srvEditor_.protect(e->cloneCr3, p, r.flags);
         if (old)
-            cpu.rmpadjust(*old & kPteAddrMask, Vmpl::Vmpl2, m, /*warm=*/true);
+            cpu.rmpadjust(*old & kPteAddrMask, Vmpl::Vmpl2, r.vmpl2,
+                          /*warm=*/true);
     }
-    msg.status = static_cast<uint64_t>(VeilStatus::Ok);
+    reply(msg, VeilStatus::Ok);
 }
 
 void
 EncService::opSyncPerms(Vcpu &cpu, IdcbMessage &msg)
 {
-    auto it = enclaves_.find(msg.args[0]);
+    EnclaveInfo *e = findLive(enclaves_, msg);
     Gva va = msg.args[1];
     uint64_t len = msg.args[2];
     uint64_t prot = msg.args[3]; // bit0 write, bit1 exec, bit7 unmap
-    if (it == enclaves_.end() || !it->second.alive) {
-        msg.status = static_cast<uint64_t>(VeilStatus::NotFound);
+    if (!e)
         return;
-    }
-    EnclaveInfo &e = it->second;
     // Only non-enclave user regions may be synchronized by the OS.
-    bool overlaps = va < e.hi && va + len > e.lo;
+    bool overlaps = va < e->hi && va + len > e->lo;
     if (!isPageAligned(va) || overlaps || va < kUserVaLo ||
-        va + len > kUserVaHi) {
-        msg.status = static_cast<uint64_t>(VeilStatus::Denied);
-        return;
-    }
+        va + len > kUserVaHi)
+        return reply(msg, VeilStatus::Denied);
+    PageRights r = protRights(prot);
     for (Gva p = va; p < va + len; p += kPageSize) {
         if (prot & 0x80) {
-            srvEditor_.unmap(e.cloneCr3, p);
+            srvEditor_.unmap(e->cloneCr3, p);
             continue;
         }
         // Mirror the OS mapping (possibly new) into the clone.
-        auto os_leaf = srvEditor_.leaf(e.processCr3, p);
-        if (!os_leaf || !(*os_leaf & PteUser))
+        auto os_leaf = srvEditor_.leaf(e->processCr3, p);
+        if (!os_leaf || !admitOsLeaf(*os_leaf))
             continue;
         Gpa pa = *os_leaf & kPteAddrMask;
-        if (allEnclaveFrames_.count(pa) || pa >= machine_.memory().size())
-            continue; // never alias an enclave frame or name a frame
-                      // beyond guest memory
-        PageFlags f;
-        f.user = true;
-        f.write = prot & 1;
-        f.exec = prot & 2;
-        srvEditor_.map(e.cloneCr3, p, pa, f);
-        PermMask m = PermRead;
-        if (f.write)
-            m |= PermWrite;
-        if (f.exec)
-            m |= PermUserExec;
+        srvEditor_.map(e->cloneCr3, p, pa, r.flags);
         if (!machine_.rmp().isShared(pa))
-            cpu.rmpadjust(pa, Vmpl::Vmpl2, m, /*warm=*/true);
+            cpu.rmpadjust(pa, Vmpl::Vmpl2, r.vmpl2, /*warm=*/true);
     }
-    msg.status = static_cast<uint64_t>(VeilStatus::Ok);
+    reply(msg, VeilStatus::Ok);
 }
 
 void
 EncService::opGetMeasurement(Vcpu &cpu, IdcbMessage &msg)
 {
-    auto it = enclaves_.find(msg.args[0]);
-    if (it == enclaves_.end()) {
-        msg.status = static_cast<uint64_t>(VeilStatus::NotFound);
-        return;
-    }
-    const EnclaveInfo &e = it->second;
+    const EnclaveInfo *e = info(msg.args[0]);
+    if (!e)
+        return reply(msg, VeilStatus::NotFound);
 
     // Raw digest first (local verification), then a sealed copy when
     // the VeilMon user channel is up (remote attestation path, §6.2).
-    std::memcpy(msg.retPayload, e.measurement.data(), e.measurement.size());
-    msg.retPayloadLen = static_cast<uint32_t>(e.measurement.size());
+    std::memcpy(msg.retPayload, e->measurement.data(), e->measurement.size());
+    msg.retPayloadLen = static_cast<uint32_t>(e->measurement.size());
     if (SecureChannel *chan = monitor_.sealChannel()) {
-        Bytes plain(e.measurement.begin(), e.measurement.end());
-        appendLe<uint64_t>(plain, e.id);
+        Bytes plain(e->measurement.begin(), e->measurement.end());
+        appendLe<uint64_t>(plain, e->id);
         Bytes sealed = chan->seal(plain);
         ensure(msg.retPayloadLen + sealed.size() <= kIdcbRetPayloadMax,
                "EncService: sealed measurement too large");
@@ -570,42 +564,36 @@ EncService::opGetMeasurement(Vcpu &cpu, IdcbMessage &msg)
         msg.retPayloadLen += static_cast<uint32_t>(sealed.size());
         msg.ret[0] = sealed.size();
     }
-    msg.status = static_cast<uint64_t>(VeilStatus::Ok);
+    reply(msg, VeilStatus::Ok);
 }
 
 void
 EncService::opSnapshot(Vcpu &cpu, IdcbMessage &msg)
 {
-    auto it = enclaves_.find(msg.args[0]);
-    if (it == enclaves_.end() || !it->second.alive) {
-        msg.status = static_cast<uint64_t>(VeilStatus::NotFound);
+    EnclaveInfo *e = findLive(enclaves_, msg);
+    if (!e)
         return;
-    }
-    EnclaveInfo &e = it->second;
-    if (e.snapshotOf) {
-        msg.status = static_cast<uint64_t>(VeilStatus::Denied);
-        return;
-    }
-    if (!e.evicted.empty()) {
+    if (e->snapshotOf)
+        return reply(msg, VeilStatus::Denied);
+    if (!e->evicted.empty()) {
         // The template must be fully resident so the snapshot is a
         // complete image; the kernel restores before sealing.
-        msg.status = static_cast<uint64_t>(VeilStatus::BadArgs);
-        return;
+        return reply(msg, VeilStatus::BadArgs);
     }
 
     SnapshotInfo s;
     s.id = nextSnapId_++;
-    s.lo = e.lo;
-    s.hi = e.hi;
-    s.programId = e.programId;
-    s.idtHandler = e.idtHandler;
-    s.measurement = e.measurement;
+    s.lo = e->lo;
+    s.hi = e->hi;
+    s.programId = e->programId;
+    s.idtHandler = e->idtHandler;
+    s.measurement = e->measurement;
 
     // Seal: ownership of every image frame moves from the enclave to
     // the snapshot, and the source itself becomes a CoW sharer — its
     // clone-table leaves lose PteWrite and the RMP drops Dom-ENC write
     // so a stray write faults instead of mutating the template.
-    srvEditor_.forEachLeaf(e.cloneCr3, e.lo, e.hi,
+    srvEditor_.forEachLeaf(e->cloneCr3, e->lo, e->hi,
                            [&](Gva va, uint64_t pte) {
                                SnapshotInfo::Page p;
                                p.frame = pte & kPteAddrMask;
@@ -614,19 +602,14 @@ EncService::opSnapshot(Vcpu &cpu, IdcbMessage &msg)
                                s.pages[va] = p;
                            });
     for (const auto &[va, p] : s.pages) {
-        PageFlags f;
-        f.user = true;
-        f.write = false;
-        f.exec = !(p.pteFlags & PteNx);
-        srvEditor_.protect(e.cloneCr3, va, f);
-        cpu.rmpadjust(p.frame, Vmpl::Vmpl2,
-                      vmpl2PermsFor(p.pteFlags & ~uint64_t(PteWrite)),
-                      /*warm=*/true);
+        PageRights r = pteRights(p.pteFlags & ~uint64_t(PteWrite));
+        srvEditor_.protect(e->cloneCr3, va, r.flags);
+        cpu.rmpadjust(p.frame, Vmpl::Vmpl2, r.vmpl2, /*warm=*/true);
         snapFrames_.insert(p.frame);
         cpu.burn(kSnapshotCyclesPerPage);
     }
-    e.frames.clear();
-    e.snapshotOf = s.id;
+    e->frames.clear();
+    e->snapshotOf = s.id;
     s.refs = 2; // the sealed source + the kernel's snapshot handle
 
     uint64_t id = s.id;
@@ -635,90 +618,76 @@ EncService::opSnapshot(Vcpu &cpu, IdcbMessage &msg)
     cpu.machine().tracer().instant(trace::Category::FleetSched, id);
     msg.ret[0] = id;
     msg.ret[1] = pages;
-    msg.status = static_cast<uint64_t>(VeilStatus::Ok);
+    reply(msg, VeilStatus::Ok);
 }
 
 void
 EncService::opClone(Vcpu &cpu, IdcbMessage &msg)
 {
-    auto snap_it = snapshots_.find(msg.args[0]);
+    SnapshotInfo *s = findLive(snapshots_, msg);
     Gpa process_cr3 = msg.args[1];
     Gpa ghcb = msg.args[2];
     uint32_t vcpu = static_cast<uint32_t>(msg.args[3]);
-    if (snap_it == snapshots_.end() || !snap_it->second.alive) {
-        msg.status = static_cast<uint64_t>(VeilStatus::NotFound);
+    if (!s)
         return;
-    }
-    if (vcpu >= layout_.numVcpus || !machine_.rmp().isShared(ghcb)) {
-        msg.status = static_cast<uint64_t>(VeilStatus::BadArgs);
-        return;
-    }
-    SnapshotInfo &s = snap_it->second;
+    if (vcpu >= layout_.numVcpus || !machine_.rmp().isShared(ghcb))
+        return reply(msg, VeilStatus::BadArgs);
 
     EnclaveInfo e;
     e.id = nextId_++;
     e.processCr3 = process_cr3;
-    e.lo = s.lo;
-    e.hi = s.hi;
+    e.lo = s->lo;
+    e.hi = s->hi;
     e.vcpu = vcpu;
     e.ghcb = ghcb;
-    e.programId = s.programId;
-    e.idtHandler = s.idtHandler;
-    e.snapshotOf = s.id;
-    e.measurement = s.measurement; // attestation equals the template's
+    e.programId = s->programId;
+    e.idtHandler = s->idtHandler;
+    e.snapshotOf = s->id;
+    e.measurement = s->measurement; // attestation equals the template's
     derivePagingKeys(e);
 
     // Image pages map read-only onto the shared snapshot frames; the
     // original write bit is re-materialized per page by EncCloneFault.
     e.cloneCr3 = srvEditor_.createRoot();
-    for (const auto &[va, p] : s.pages) {
-        PageFlags f;
-        f.user = true;
-        f.write = false;
-        f.exec = !(p.pteFlags & PteNx);
-        srvEditor_.map(e.cloneCr3, va, p.frame, f);
+    for (const auto &[va, p] : s->pages) {
+        srvEditor_.map(e.cloneCr3, va, p.frame,
+                       pteRights(p.pteFlags & ~uint64_t(PteWrite)).flags);
         cpu.burn(kCloneMapCyclesPerPage);
     }
 
     // Mirror the clone process's own non-enclave user pages (ocall
-    // block; the GHCB stays shared) exactly as opCreate does.
+    // block; the GHCB stays shared) under opCreate's admission rule.
     std::vector<std::pair<Gva, uint64_t>> user_leaves;
+    bool admitted = true;
     srvEditor_.forEachLeaf(process_cr3, kUserVaLo, kUserVaHi,
                            [&](Gva va, uint64_t pte) {
-                               if (!(pte & PteUser))
+                               if (!(pte & PteUser) ||
+                                   (va >= s->lo && va < s->hi))
                                    return;
-                               if (va >= s.lo && va < s.hi)
-                                   return;
+                               admitted = admitted && admitOsLeaf(pte);
                                user_leaves.emplace_back(va, pte);
                            });
     cpu.burn(100 * user_leaves.size());
+    if (!admitted) {
+        srvEditor_.destroyRoot(e.cloneCr3);
+        return reply(msg, VeilStatus::VerifyFailed);
+    }
     for (const auto &[va, pte] : user_leaves) {
         Gpa pa = pte & kPteAddrMask;
-        if (allEnclaveFrames_.count(pa) || pa >= machine_.memory().size()) {
-            // The OS tried to alias protected memory into the clone, or
-            // named a frame beyond guest memory.
-            srvEditor_.destroyRoot(e.cloneCr3);
-            msg.status = static_cast<uint64_t>(VeilStatus::VerifyFailed);
-            return;
-        }
-        PageFlags f;
-        f.user = true;
-        f.write = pte & PteWrite;
-        f.exec = !(pte & PteNx);
-        srvEditor_.map(e.cloneCr3, va, pa, f);
+        PageRights r = pteRights(pte);
+        srvEditor_.map(e.cloneCr3, va, pa, r.flags);
         if (!machine_.rmp().isShared(pa))
-            cpu.rmpadjust(pa, Vmpl::Vmpl2, vmpl2PermsFor(pte),
-                          /*warm=*/true);
+            cpu.rmpadjust(pa, Vmpl::Vmpl2, r.vmpl2, /*warm=*/true);
     }
 
     // Fresh Dom-ENC VCPU replica from the template's program identity.
     IdcbMessage req;
     req.op = static_cast<uint32_t>(VeilOp::CreateEnclaveVmsa);
     req.args[0] = vcpu;
-    req.args[1] = s.programId;
+    req.args[1] = s->programId;
     req.args[2] = e.cloneCr3;
     req.args[3] = ghcb;
-    req.args[4] = s.idtHandler;
+    req.args[4] = s->idtHandler;
     req.args[5] = e.id;
     idcbCall(cpu, layout_.srvMonIdcb(cpu.vcpuId()), Vmpl::Vmpl0, req);
     if (req.status != static_cast<uint64_t>(VeilStatus::Ok)) {
@@ -729,58 +698,48 @@ EncService::opClone(Vcpu &cpu, IdcbMessage &msg)
     e.vmsa = static_cast<VmsaId>(req.ret[0]);
     e.vmsaPage = req.ret[1];
 
-    ++s.refs;
+    ++s->refs;
     uint64_t id = e.id;
     enclaves_[id] = std::move(e);
     cpu.machine().tracer().instant(trace::Category::FleetSched, id);
     msg.ret[0] = id;
     msg.ret[1] = enclaves_[id].vmsa;
-    msg.ret[2] = s.lo;
-    msg.ret[3] = s.hi;
-    msg.status = static_cast<uint64_t>(VeilStatus::Ok);
+    msg.ret[2] = s->lo;
+    msg.ret[3] = s->hi;
+    reply(msg, VeilStatus::Ok);
 }
 
 void
 EncService::opCloneFault(Vcpu &cpu, IdcbMessage &msg)
 {
-    auto it = enclaves_.find(msg.args[0]);
+    EnclaveInfo *e = findLive(enclaves_, msg);
     Gva va = msg.args[1];
     Gpa frame = msg.args[2];
-    if (it == enclaves_.end() || !it->second.alive ||
-        !it->second.snapshotOf) {
-        msg.status = static_cast<uint64_t>(VeilStatus::NotFound);
+    if (!e)
         return;
-    }
-    EnclaveInfo &e = it->second;
-    auto snap_it = snapshots_.find(e.snapshotOf);
+    if (!e->snapshotOf)
+        return reply(msg, VeilStatus::NotFound);
+    auto snap_it = snapshots_.find(e->snapshotOf);
     ensure(snap_it != snapshots_.end(), "EncService: dangling snapshot");
     SnapshotInfo &s = snap_it->second;
     auto page_it = s.pages.find(va);
-    if (page_it == s.pages.end()) {
-        msg.status = static_cast<uint64_t>(VeilStatus::NotFound);
-        return;
-    }
+    if (page_it == s.pages.end())
+        return reply(msg, VeilStatus::NotFound);
     const SnapshotInfo::Page &p = page_it->second;
-    auto leaf = srvEditor_.leaf(e.cloneCr3, va);
-    if (!leaf) {
-        msg.status = static_cast<uint64_t>(VeilStatus::NotFound);
-        return;
-    }
+    auto leaf = srvEditor_.leaf(e->cloneCr3, va);
+    if (!leaf)
+        return reply(msg, VeilStatus::NotFound);
     if ((*leaf & kPteAddrMask) != p.frame) {
         // Already broken (idempotent retry after a dropped reply).
-        msg.status = static_cast<uint64_t>(VeilStatus::Ok);
-        return;
+        return reply(msg, VeilStatus::Ok);
     }
     if (!(p.pteFlags & PteWrite)) {
         // Faulting on a page the image never allowed writes to is a
         // real protection violation, not CoW.
-        msg.status = static_cast<uint64_t>(VeilStatus::Denied);
-        return;
+        return reply(msg, VeilStatus::Denied);
     }
-    if (!frameUsable(frame)) {
-        msg.status = static_cast<uint64_t>(VeilStatus::BadArgs);
-        return;
-    }
+    if (!frameUsable(frame))
+        return reply(msg, VeilStatus::BadArgs);
 
     // Copy the shared contents into the private frame, then hand it to
     // the clone with the image's original permissions (write restored).
@@ -788,17 +747,11 @@ EncService::opCloneFault(Vcpu &cpu, IdcbMessage &msg)
     cpu.readPhys(p.frame, page.data(), page.size());
     cpu.writePhys(frame, page.data(), page.size());
     cpu.burn(kCloneFaultCycles);
-    cpu.rmpadjust(frame, Vmpl::Vmpl2, vmpl2PermsFor(p.pteFlags | PteUser));
-    cpu.rmpadjust(frame, Vmpl::Vmpl3, kPermNone, /*warm=*/true);
-    PageFlags f;
-    f.user = true;
-    f.write = true;
-    f.exec = !(p.pteFlags & PteNx);
-    srvEditor_.map(e.cloneCr3, va, frame, f);
-    e.frames.insert(frame);
-    allEnclaveFrames_.insert(frame);
+    PageRights r = pteRights(p.pteFlags);
+    grantFrame(cpu, *e, frame, r.vmpl2);
+    srvEditor_.map(e->cloneCr3, va, frame, r.flags);
     cpu.machine().tracer().instant(trace::Category::FleetSched, va);
-    msg.status = static_cast<uint64_t>(VeilStatus::Ok);
+    reply(msg, VeilStatus::Ok);
 }
 
 void
@@ -813,9 +766,7 @@ EncService::snapshotDecref(Vcpu &cpu, uint64_t snap_id)
     // Last sharer gone: scrub the template frames and return them.
     for (const auto &[va, p] : s.pages) {
         cpu.zeroPhys(p.frame);
-        cpu.rmpadjust(p.frame, Vmpl::Vmpl2, kPermNone, /*warm=*/true);
-        cpu.rmpadjust(p.frame, Vmpl::Vmpl3, kPermRw, /*warm=*/true);
-        allEnclaveFrames_.erase(p.frame);
+        returnFrame(cpu, p.frame);
         snapFrames_.erase(p.frame);
     }
     s.pages.clear();
@@ -825,13 +776,10 @@ EncService::snapshotDecref(Vcpu &cpu, uint64_t snap_id)
 void
 EncService::opSnapshotRelease(Vcpu &cpu, IdcbMessage &msg)
 {
-    auto it = snapshots_.find(msg.args[0]);
-    if (it == snapshots_.end() || !it->second.alive) {
-        msg.status = static_cast<uint64_t>(VeilStatus::NotFound);
+    if (!findLive(snapshots_, msg))
         return;
-    }
     snapshotDecref(cpu, msg.args[0]);
-    msg.status = static_cast<uint64_t>(VeilStatus::Ok);
+    reply(msg, VeilStatus::Ok);
 }
 
 } // namespace veil::core

@@ -139,7 +139,23 @@ class EncService
     void derivePagingKeys(EnclaveInfo &e);
     void snapshotDecref(snp::Vcpu &cpu, uint64_t snap_id);
 
-    snp::PermMask vmpl2PermsFor(uint64_t pte) const;
+    /**
+     * §6.2 admission, the one check for a leaf the OS wrote before it
+     * enters an enclave's protected tables: @p pte must be a user leaf
+     * whose frame is OS memory (kernelBase up to the end of guest
+     * memory: never VeilMon's or the services', never past the end) and
+     * is neither a live enclave or sealed template frame
+     * (allEnclaveFrames_) nor one of @p own, the request's own enclave
+     * frames.
+     */
+    bool admitOsLeaf(uint64_t pte,
+                     const std::set<snp::Gpa> *own = nullptr) const;
+    /** Hand @p pa to @p e: VMPL-2 @p vmpl2, VMPL-3 none, tracked. */
+    void grantFrame(snp::Vcpu &cpu, EnclaveInfo &e, snp::Gpa pa,
+                    snp::PermMask vmpl2);
+    /** Hand @p pa back to the OS: VMPL-2 none, VMPL-3 RW, untracked
+     *  (the caller drops it from its owner's own frame set). */
+    void returnFrame(snp::Vcpu &cpu, snp::Gpa pa);
     crypto::Digest pageTag(const EnclaveInfo &e, snp::Gva va, uint64_t ctr,
                            const uint8_t *plain) const;
     bool frameUsable(snp::Gpa pa) const;

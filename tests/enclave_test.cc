@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <initializer_list>
 
 #include "base/log.hh"
 #include "sdk/remote.hh"
@@ -448,67 +450,172 @@ TEST(Enclave, TwoEnclavesGetDisjointPhysicalPages)
     });
 }
 
-TEST(Enclave, AliasedMappingFailsInitInvariant)
+/** Map a 4-page anonymous window at @p lo with the ordinary mmap. */
+void
+mapWindow(NativeEnv &env, Gva lo)
 {
-    inVm(testConfig(), [](VeilVm &vm, Kernel &k, Process &p, NativeEnv &env) {
-        // Malicious OS maps two enclave VAs to one physical page, then
-        // asks VeilS-ENC to finalize: initialization must fail (§6.2).
-        Gva lo = kEnclaveBase;
-        ASSERT_GT(env.sys(kSysMmap, lo, 4 * kPageSize,
-                          kPROT_READ | kPROT_WRITE,
-                          kMAP_ANONYMOUS | kMAP_PRIVATE | kMAP_FIXED,
-                          uint64_t(-1), 0),
-                  0);
-        // Alias page 1 onto page 0's frame behind the driver's back.
-        Gpa frame0 = *p.as->userLeaf(lo) & kPteAddrMask;
-        p.as->mapUser(lo + kPageSize, frame0, kPROT_READ | kPROT_WRITE);
-
-        core::IdcbMessage m;
-        m.op = static_cast<uint32_t>(core::VeilOp::EncCreate);
-        m.args[0] = p.as->cr3();
-        m.args[1] = lo;
-        m.args[2] = lo + 4 * kPageSize;
-        m.args[3] = vm.layout().osGhcb(0); // any shared page
-        m.args[4] = 0;
-        m.args[5] = 1;
-        m.args[7] = k.idtHandler();
-        k.callService(m);
-        EXPECT_EQ(m.status,
-                  static_cast<uint64_t>(core::VeilStatus::VerifyFailed));
-    });
+    ASSERT_GT(env.sys(kSysMmap, lo, 4 * kPageSize, kPROT_READ | kPROT_WRITE,
+                      kMAP_ANONYMOUS | kMAP_PRIVATE | kMAP_FIXED,
+                      uint64_t(-1), 0),
+              0);
 }
 
-TEST(Enclave, UserLeafBeyondGuestMemoryFailsInit)
+/** A raw VeilS-ENC request from the (hostile) kernel, bypassing the
+ *  enclave driver. */
+core::IdcbMessage
+rawEnc(Kernel &k, core::VeilOp op, std::initializer_list<uint64_t> args)
 {
-    inVm(testConfig(), [](VeilVm &vm, Kernel &k, Process &p, NativeEnv &env) {
-        // Malicious OS writes a user PTE outside the enclave window that
-        // names a frame beyond guest memory (no RMP flip involved):
-        // VeilS-ENC must refuse it before asking the RMP about it.
-        Gva lo = kEnclaveBase;
-        ASSERT_GT(env.sys(kSysMmap, lo, 4 * kPageSize,
-                          kPROT_READ | kPROT_WRITE,
-                          kMAP_ANONYMOUS | kMAP_PRIVATE | kMAP_FIXED,
-                          uint64_t(-1), 0),
-                  0);
-        const Gva stray = 0x6000000;
-        Gpa beyond = vm.machine().memory().size() + 16 * kPageSize;
-        p.as->mapUser(stray, beyond, kPROT_READ | kPROT_WRITE);
+    core::IdcbMessage m;
+    m.op = static_cast<uint32_t>(op);
+    size_t i = 0;
+    for (uint64_t a : args)
+        m.args[i++] = a;
+    k.callService(m);
+    return m;
+}
 
-        core::IdcbMessage m;
-        m.op = static_cast<uint32_t>(core::VeilOp::EncCreate);
-        m.args[0] = p.as->cr3();
-        m.args[1] = lo;
-        m.args[2] = lo + 4 * kPageSize;
-        m.args[3] = vm.layout().osGhcb(0); // any shared page
-        m.args[4] = 0;
-        m.args[5] = 1;
-        m.args[7] = k.idtHandler();
-        k.callService(m);
-        EXPECT_EQ(m.status,
-                  static_cast<uint64_t>(core::VeilStatus::VerifyFailed));
-        EXPECT_EQ(vm.services().enc().liveEnclaves(), 0u);
-        p.as->unmapUser(stray); // never the allocator's frame
-    });
+/** EncCreate over the 4-page window at @p lo of @p p's tables. */
+core::IdcbMessage
+rawEncCreate(VeilVm &vm, Kernel &k, Process &p, Gva lo)
+{
+    return rawEnc(k, core::VeilOp::EncCreate,
+                  {p.as->cr3(), lo, lo + 4 * kPageSize,
+                   vm.layout().osGhcb(0), // any shared page
+                   0, 1, 0, k.idtHandler()});
+}
+
+/** A second process whose window at @p lo is a live enclave; returns
+ *  the enclave's first frame. */
+Gpa
+victimEnclaveFrame(VeilVm &vm, Kernel &k, Gva lo, uint64_t *id = nullptr)
+{
+    Process &p2 = k.makeProcess("victim");
+    NativeEnv env2(k, p2);
+    mapWindow(env2, lo);
+    core::IdcbMessage m = rawEncCreate(vm, k, p2, lo);
+    EXPECT_EQ(m.status, static_cast<uint64_t>(core::VeilStatus::Ok));
+    if (id)
+        *id = m.ret[0];
+    return *p2.as->userLeaf(lo) & kPteAddrMask;
+}
+
+TEST(Enclave, CreateAdmitsNoHostileOsLeaf)
+{
+    // A malicious OS edits the process tables behind the driver's back,
+    // then asks VeilS-ENC to finalize an enclave over a 4-page window
+    // (§6.2). A user leaf that names a frame VeilS-ENC must not share
+    // fails initialization and leaves nothing behind: no enclave, no
+    // RMP change on the named frame. An interior entry past guest
+    // memory reads as "not present" (the walk agrees), so it maps
+    // nothing and never reaches the RMP.
+    const Gva lo = kEnclaveBase;
+    const Gva stray = 0x6000000; // outside the window and guest memory
+    using Undo = std::function<void()>;
+    struct Row
+    {
+        const char *name;
+        /// Plants the hostile entries; sets the frame they name (0 if
+        /// none in guest memory) and returns their undo.
+        std::function<Undo(VeilVm &, Kernel &, Process &, Gpa &)> plant;
+        core::VeilStatus expect;
+    };
+    const Row rows[] = {
+        {"two window pages alias one frame",
+         [&](VeilVm &, Kernel &, Process &p, Gpa &frame) -> Undo {
+             frame = *p.as->userLeaf(lo) & kPteAddrMask;
+             p.as->mapUser(lo + kPageSize, frame, kPROT_READ | kPROT_WRITE);
+             return [] {};
+         },
+         core::VeilStatus::VerifyFailed},
+        {"user leaf beyond guest memory",
+         [&](VeilVm &vm, Kernel &, Process &p, Gpa &) -> Undo {
+             Gpa beyond = vm.machine().memory().size() + 16 * kPageSize;
+             p.as->mapUser(stray, beyond, kPROT_READ | kPROT_WRITE);
+             return [&p, stray] { p.as->unmapUser(stray); };
+         },
+         core::VeilStatus::VerifyFailed},
+        {"another enclave's frame",
+         [&](VeilVm &vm, Kernel &k, Process &p, Gpa &frame) -> Undo {
+             frame = victimEnclaveFrame(vm, k, lo);
+             p.as->mapUser(stray, frame, kPROT_READ | kPROT_WRITE);
+             return [&p, stray] { p.as->unmapUser(stray); };
+         },
+         core::VeilStatus::VerifyFailed},
+        {"sealed template frame",
+         [&](VeilVm &vm, Kernel &k, Process &p, Gpa &frame) -> Undo {
+             uint64_t id = 0;
+             frame = victimEnclaveFrame(vm, k, lo, &id);
+             EXPECT_EQ(rawEnc(k, core::VeilOp::EncSnapshot, {id}).status,
+                       static_cast<uint64_t>(core::VeilStatus::Ok));
+             p.as->mapUser(stray, frame, kPROT_READ | kPROT_WRITE);
+             return [&p, stray] { p.as->unmapUser(stray); };
+         },
+         core::VeilStatus::VerifyFailed},
+        {"own enclave frame outside the window",
+         [&](VeilVm &, Kernel &, Process &p, Gpa &frame) -> Undo {
+             frame = *p.as->userLeaf(lo) & kPteAddrMask;
+             p.as->mapUser(stray, frame, kPROT_READ | kPROT_WRITE);
+             return [&p, stray] { p.as->unmapUser(stray); };
+         },
+         core::VeilStatus::VerifyFailed},
+        {"Dom-SRV frame below the OS region",
+         [&](VeilVm &vm, Kernel &, Process &p, Gpa &frame) -> Undo {
+             frame = vm.layout().srvHeap; // where clone tables live
+             p.as->mapUser(stray, frame, kPROT_READ | kPROT_WRITE);
+             return [&p, stray] { p.as->unmapUser(stray); };
+         },
+         core::VeilStatus::VerifyFailed},
+        {"interior L1 entry beyond guest memory",
+         [&](VeilVm &vm, Kernel &k, Process &p, Gpa &) -> Undo {
+             // The L1 table covering the stray VA's 2 MiB slot.
+             Gpa table = p.as->cr3();
+             for (int level = 3; level > 1; --level) {
+                 uint64_t e = 0;
+                 k.cpu().readPhys(table + ptIndex(stray, level) * 8, &e, 8);
+                 table = e & kPteAddrMask;
+             }
+             Gpa slot = table + ptIndex(stray, 1) * 8;
+             uint64_t bad = (vm.machine().memory().size() + 16 * kPageSize) |
+                            PtePresent | PteWrite | PteUser;
+             k.cpu().writePhys(slot, &bad, 8);
+             return [&k, slot] {
+                 uint64_t none = 0;
+                 k.cpu().writePhys(slot, &none, 8);
+             };
+         },
+         core::VeilStatus::Ok},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.name);
+        inVm(testConfig(),
+             [&](VeilVm &vm, Kernel &k, Process &p, NativeEnv &env) {
+                 mapWindow(env, lo);
+                 Gpa frame = 0;
+                 Undo undo = row.plant(vm, k, p, frame);
+                 size_t live = vm.services().enc().liveEnclaves();
+                 PermMask vmpl2 =
+                     frame ? vm.machine().rmp().perms(frame, Vmpl::Vmpl2) : 0;
+
+                 core::IdcbMessage m = rawEncCreate(vm, k, p, lo);
+                 EXPECT_EQ(m.status, static_cast<uint64_t>(row.expect));
+                 bool ok = row.expect == core::VeilStatus::Ok;
+                 EXPECT_EQ(vm.services().enc().liveEnclaves(), live + ok);
+                 if (frame) {
+                     EXPECT_EQ(vm.machine().rmp().perms(frame, Vmpl::Vmpl2),
+                               vmpl2);
+                 }
+                 if (ok) {
+                     const core::EnclaveInfo *info =
+                         vm.services().enc().info(m.ret[0]);
+                     ASSERT_NE(info, nullptr);
+                     EXPECT_FALSE(tryWalk(vm.machine().memory(),
+                                          info->cloneCr3, stray,
+                                          Access::Read, Cpl::User)
+                                      .has_value());
+                 }
+                 undo();
+             });
+    }
 }
 
 TEST(Enclave, SyncPermsRefusesLeafBeyondGuestMemory)

@@ -4,7 +4,7 @@
  * submission/completion rings under serviceBatching — wrap-around,
  * sync-fallback paths (oversized payloads, in-enclave sessions), the
  * drain barriers (orderly exit, enclave entry, explicit), deadline
- * flushes, deferred EncFreePage completion, async PageStateChange,
+ * flushes, deferred EncFreePage completion, a hand-written PSC slot,
  * record-stream equality against the sync path, doorbell fault
  * injection (dropped and duplicated doorbells), and the SDK's async
  * ocall ring including its backpressure fallback.
@@ -312,32 +312,57 @@ TEST(OpRing, DeferredFreePageSwapsOutAtBarrier)
     EXPECT_EQ(vm.kernel().stats().opCplErrors, 0u);
 }
 
-TEST(OpRing, PageStateChangeAsyncAppliesAtBarrier)
+TEST(OpRing, HandWrittenPageStateChangeSlotIsRefused)
 {
-    // pageStateChangeAsync queues the PSC; the RMP flips only when the
-    // completion arrives (the dispatcher forwards ring PSCs through
-    // VeilMon's sanitizer, same as a direct call).
-    VeilVm vm(batchConfig(true, /*batch=*/uint32_t(core::kOpRingSlots)));
-    auto result = vm.run([&](Kernel &k, Process &p) {
-        NativeEnv env(k, p);
-        EnclaveHost host(env, vm.programs());
-        ASSERT_TRUE(host.create([](Env &) -> int64_t { return 0; }));
-        ASSERT_EQ(host.call(), 0);
-        ASSERT_EQ(host.destroy(), 0);
+    // PageStateChange belongs to VeilMon and has no ring path: a PSC
+    // slot the OS writes into its submission ring by hand reaches the
+    // dispatcher's default branch and completes Unsupported, and the
+    // RMP does not change.
+    VmConfig cfg = batchConfig(true);
+    cfg.kernel.auditBackend = AuditBackend::None; // no kernel-queued op
+    VeilVm vm(cfg);
+    auto result = vm.run([&](Kernel &k, Process &) {
+        Vcpu &c = k.cpu();
+        Gpa page = k.frames().alloc();
+        ASSERT_FALSE(vm.machine().rmp().isShared(page));
+        ASSERT_TRUE(vm.machine().rmp().isValidated(page));
 
-        // The enclave's GHCB frame stayed hypervisor-shared: reclaim it
-        // to private asynchronously.
-        Gpa ghcb = p.enclave->ghcbGpa;
-        ASSERT_TRUE(vm.machine().rmp().isShared(ghcb));
-        k.pageStateChangeAsync(ghcb, /*shared=*/false);
-        EXPECT_GE(k.opRingPending(0), 1u);
-        EXPECT_TRUE(vm.machine().rmp().isShared(ghcb)); // not yet applied
+        Gpa sub = vm.layout().opSubRing(0);
+        Gpa cplr = vm.layout().opCplRing(0);
+        core::RingHeader ch;
+        ch.capacity = core::kOpCplSlots;
+        c.writePhys(cplr, &ch, sizeof(ch));
+        core::VeilOpSlot slot;
+        slot.op = static_cast<uint32_t>(core::VeilOp::PageStateChange);
+        slot.args[0] = page;
+        slot.args[1] = 1; // to shared
+        c.writePhys(core::ringSlot(sub, core::kOpSlotBytes,
+                                   core::kOpRingSlots, 0),
+                    &slot, sizeof(slot));
+        core::RingHeader h;
+        h.capacity = core::kOpRingSlots;
+        h.head = 1;
+        c.writePhys(sub, &h, sizeof(h));
 
-        k.opRingBarrier();
-        EXPECT_FALSE(vm.machine().rmp().isShared(ghcb));
+        core::IdcbMessage m;
+        m.op = static_cast<uint32_t>(core::VeilOp::OpRingDoorbell);
+        k.callService(m);
+
+        c.readPhys(sub, &h, sizeof(h));
+        EXPECT_EQ(h.tail, 1u); // the slot was consumed
+        c.readPhys(cplr, &ch, sizeof(ch));
+        ASSERT_EQ(ch.head, 1u);
+        core::VeilOpCompletion cpl;
+        c.readPhys(core::ringSlot(cplr, core::kOpCplSlotBytes,
+                                  core::kOpCplSlots, 0),
+                   &cpl, sizeof(cpl));
+        EXPECT_EQ(cpl.op, slot.op);
+        EXPECT_NE(cpl.status, static_cast<uint64_t>(core::VeilStatus::Ok));
+        EXPECT_FALSE(vm.machine().rmp().isShared(page));
+        EXPECT_TRUE(vm.machine().rmp().isValidated(page));
+        k.frames().free(page);
     });
     ASSERT_TRUE(result.terminated) << vm.machine().haltInfo().reason;
-    EXPECT_EQ(vm.kernel().stats().opCplErrors, 0u);
 }
 
 // ---- Doorbell fault injection (§10 + §11) ----

@@ -234,7 +234,7 @@ TEST(VeilBoot, NativeCvmBootsWithoutVeil)
     bool ran = false;
     auto result = vm.run([&](kern::Kernel &k, kern::Process &) {
         ran = true;
-        EXPECT_FALSE(k.config().veilEnabled);
+        EXPECT_FALSE(k.veilEnabled());
     });
     EXPECT_TRUE(ran);
     EXPECT_TRUE(result.terminated);
