@@ -8,21 +8,28 @@
 #ifndef VEIL_SNP_MEMORY_HH_
 #define VEIL_SNP_MEMORY_HH_
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "snp/types.hh"
 
 namespace veil::snp {
 
-/** Flat guest-physical memory. */
+/**
+ * Flat guest-physical memory. It owns one anonymous host mapping, so
+ * it cannot be copied.
+ */
 class GuestMemory
 {
   public:
     explicit GuestMemory(size_t bytes);
+    ~GuestMemory();
 
-    size_t size() const { return data_.size(); }
-    uint64_t pageCount() const { return data_.size() / kPageSize; }
+    GuestMemory(const GuestMemory &) = delete;
+    GuestMemory &operator=(const GuestMemory &) = delete;
+
+    size_t size() const { return size_; }
+    uint64_t pageCount() const { return size_ / kPageSize; }
 
     /** Raw read; panics on out-of-bounds (simulator bug). */
     void read(Gpa addr, void *out, size_t len) const;
@@ -51,13 +58,14 @@ class GuestMemory
     void zeroPage(Gpa page);
 
     /** Direct pointer for bulk host-side operations (hashing, etc.). */
-    const uint8_t *raw(Gpa addr) const { return data_.data() + addr; }
-    uint8_t *raw(Gpa addr) { return data_.data() + addr; }
+    const uint8_t *raw(Gpa addr) const { return data_ + addr; }
+    uint8_t *raw(Gpa addr) { return data_ + addr; }
 
     bool contains(Gpa addr, size_t len) const;
 
   private:
-    std::vector<uint8_t> data_;
+    uint8_t *data_ = nullptr;
+    size_t size_;
 };
 
 } // namespace veil::snp

@@ -377,8 +377,9 @@ TEST(KernelMisc, MunmappedUserVaIsReused)
             ASSERT_TRUE(uint64_t(va) + kLen <= uint64_t(keep) ||
                         uint64_t(va) >= uint64_t(keep) + kPageSize)
                 << "round " << i << " overlaps a live mapping";
-            if (i % 1000 == 0)
+            if (i % 1000 == 0) {
                 ASSERT_TRUE(disjoint()) << "round " << i;
+            }
             ASSERT_EQ(env.munmap(snp::Gva(va), kLen), 0);
         }
         EXPECT_TRUE(wrapped);

@@ -108,8 +108,9 @@ TEST(Heap, RandomizedPropertySweep)
             h.free(it->first);
             live.erase(it);
         }
-        if (i % 500 == 0)
+        if (i % 500 == 0) {
             ASSERT_TRUE(h.checkIntegrity());
+        }
     }
     for (const auto &[p, len] : live)
         h.free(p);

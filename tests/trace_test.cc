@@ -424,9 +424,10 @@ TEST(TraceChrome, ExportIsValidAndReconciles)
         for (const Span &s : list) {
             while (!ends.empty() && ends.back() <= s.ts)
                 ends.pop_back();
-            if (!ends.empty())
+            if (!ends.empty()) {
                 EXPECT_LE(s.ts + s.dur, ends.back())
                     << "span overlap on track " << tid;
+            }
             ends.push_back(s.ts + s.dur);
         }
     }
